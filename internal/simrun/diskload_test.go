@@ -78,6 +78,37 @@ func TestDiskLoadDeterministic(t *testing.T) {
 	if a.Store.ChunkReads <= int64(128<<10/(1<<10)) {
 		t.Errorf("ChunkReads = %d: eviction pressure should force re-reads", a.Store.ChunkReads)
 	}
+
+	// Golden pin: two runs of one build agreeing says nothing about a
+	// change in CLOCK visit order, which would shift which chunks get
+	// re-read and so every virtual timestamp. These values were recorded
+	// with the original slice-shifting CLOCK ring.
+	if a.Makespan != 637452376 {
+		t.Errorf("Makespan = %d, want 637452376", int64(a.Makespan))
+	}
+	st := a.Store
+	if st.Evictions != 224 || st.ChunkReads != 256 || st.Hits != 736 || st.Misses != 32 {
+		t.Errorf("Store = %+v, want Evictions 224 ChunkReads 256 Hits 736 Misses 32", st)
+	}
+	golden := []struct{ start, end time.Duration }{
+		{0, 225593664},
+		{3000000, 225705928},
+		{6000000, 225707572},
+		{9000000, 225671026},
+		{12000000, 637399070},
+		{15000000, 637452376},
+	}
+	if len(a.Clients) != len(golden) {
+		t.Fatalf("%d clients, want %d", len(a.Clients), len(golden))
+	}
+	for i, g := range golden {
+		c := a.Clients[i]
+		if c.Start != g.start || c.End != g.end || c.Elapsed != g.end-g.start ||
+			c.StatBytes != 128<<10 || !c.Completed || !c.ChecksumOK || c.Err != "" {
+			t.Errorf("client %d = %+v, want start %d end %d, 128 KiB verified",
+				i, c, int64(g.start), int64(g.end))
+		}
+	}
 }
 
 // Cold versus hot through the same store: a late second client pulls the

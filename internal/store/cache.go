@@ -80,10 +80,18 @@ type entry struct {
 	slot *atomic.Pointer[entry]
 }
 
+// cacheShard's CLOCK ring keeps insertion order with holes: an evicted or
+// harvested-dead entry leaves a nil cell that the hand steps over, so a
+// removal is O(1) instead of a memmove of everything behind it. Once holes
+// outnumber the cells still in use, one order-preserving pass squeezes
+// them out, so hand travel and compaction both stay amortized O(1) per
+// eviction. Holes never change the visit order, so eviction decisions are
+// exactly those of a hole-free ring.
 type cacheShard struct {
 	mu     sync.Mutex
 	m      map[chunkKey]*entry
-	ring   []*entry // CLOCK ring in insertion order
+	ring   []*entry // CLOCK ring in insertion order; nil cells are holes
+	holes  int      // nil cells in ring
 	hand   int
 	bytes  int64
 	budget int64
@@ -227,17 +235,15 @@ func (c *cache) bytesCached() int64 {
 // entry loses its reference bit and survives one sweep; pinned or pending
 // entries are skipped outright; dead entries are harvested in passing. If
 // everything live is pinned the shard runs over budget until the pins
-// drop — correctness over ceremony. Caller holds sh.mu.
+// drop — correctness over ceremony. A scan step visits one non-hole cell,
+// and a scan gets two steps per non-hole cell. Caller holds sh.mu.
 func (sh *cacheShard) evict(c *cache) {
-	for sh.bytes > sh.budget && len(sh.ring) > 0 {
+	for sh.bytes > sh.budget && sh.cells() > 0 {
 		evicted := false
-		for scanned := 2 * len(sh.ring); scanned > 0 && len(sh.ring) > 0; scanned-- {
-			if sh.hand >= len(sh.ring) {
-				sh.hand = 0
-			}
-			e := sh.ring[sh.hand]
+		for scanned := 2 * sh.cells(); scanned > 0 && sh.cells() > 0; scanned-- {
+			e := sh.advance()
 			if e.dead {
-				sh.removeAt(sh.hand)
+				sh.punch()
 				continue
 			}
 			if e.pending || e.refs > 0 {
@@ -256,7 +262,7 @@ func (sh *cacheShard) evict(c *cache) {
 				e.slot.CompareAndSwap(e, nil)
 			}
 			sh.bytes -= int64(e.charge)
-			sh.removeAt(sh.hand)
+			sh.punch()
 			c.evictions.Add(1)
 			evicted = true
 			break
@@ -267,10 +273,52 @@ func (sh *cacheShard) evict(c *cache) {
 	}
 }
 
-// removeAt deletes ring[i] preserving CLOCK order.
-func (sh *cacheShard) removeAt(i int) {
-	sh.ring = append(sh.ring[:i], sh.ring[i+1:]...)
-	if sh.hand > i {
-		sh.hand--
+// cells counts the ring's non-hole cells: live entries plus dead ones the
+// hand has not harvested yet.
+func (sh *cacheShard) cells() int { return len(sh.ring) - sh.holes }
+
+// advance moves the hand past holes, wrapping at the end, and returns the
+// entry under it. The ring must hold at least one non-hole cell.
+func (sh *cacheShard) advance() *entry {
+	for {
+		if sh.hand >= len(sh.ring) {
+			sh.hand = 0
+		}
+		if e := sh.ring[sh.hand]; e != nil {
+			return e
+		}
+		sh.hand++
 	}
+}
+
+// punch turns the cell under the hand into a hole, leaving the hand on it
+// (the next advance steps to the following entry, as a slice delete
+// would), and compacts once holes outnumber the cells in use.
+func (sh *cacheShard) punch() {
+	sh.ring[sh.hand] = nil
+	sh.holes++
+	if sh.holes > sh.cells() {
+		sh.compact()
+	}
+}
+
+// compact squeezes the holes out of the ring in one order-preserving pass
+// and remaps the hand to the same logical position.
+func (sh *cacheShard) compact() {
+	n, hand := 0, 0
+	for i, e := range sh.ring {
+		if i == sh.hand {
+			hand = n
+		}
+		if e != nil {
+			sh.ring[n] = e
+			n++
+		}
+	}
+	if sh.hand >= len(sh.ring) {
+		hand = n
+	}
+	clear(sh.ring[n:])
+	sh.ring = sh.ring[:n]
+	sh.hand, sh.holes = hand, 0
 }

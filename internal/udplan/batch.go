@@ -3,7 +3,10 @@ package udplan
 import (
 	"encoding/binary"
 	"net"
+	"slices"
+	"sync"
 	"syscall"
+	"weak"
 
 	"blastlan/internal/wire"
 )
@@ -52,8 +55,13 @@ func (t *txBatch) setLimit(n int) error {
 	return nil
 }
 
-// newTxBatch builds a ring of n MTU-sized slots over one backing array.
+// newTxBatch builds a ring of n MTU-sized slots over one backing array,
+// reusing a released ring of the same geometry when one is free.
 func newTxBatch(n, mtu int, flush func([][]byte, []int, int) error) *txBatch {
+	if t := txFree.get(ringShape{n: n, slot: mtu}); t != nil {
+		t.queued, t.limit, t.flush = 0, 0, flush
+		return t
+	}
 	backing := make([]byte, n*mtu)
 	t := &txBatch{frames: make([][]byte, n), lens: make([]int, n), flush: flush}
 	for i := range t.frames {
@@ -123,6 +131,9 @@ type rxBatch struct {
 	recv        mmsgReceiver
 }
 
+// newRxBatch builds a receive ring of n MTU-sized slots, or of a few
+// superbuffer-sized slots on a GRO socket, reusing a released ring of the
+// same geometry when one is free.
 func newRxBatch(n, mtu int, gro bool) *rxBatch {
 	bufSize := mtu
 	if gro {
@@ -130,6 +141,10 @@ func newRxBatch(n, mtu int, gro bool) *rxBatch {
 			n = groRingMsgs
 		}
 		bufSize = groBufBytes
+	}
+	if r := rxFree.get(ringShape{n: n, slot: bufSize, gro: gro}); r != nil {
+		r.count, r.next, r.segOff = 0, 0, 0
+		return r
 	}
 	backing := make([]byte, n*bufSize)
 	names := make([]byte, n*rawNameLen)
@@ -147,6 +162,86 @@ func newRxBatch(n, mtu int, gro bool) *rxBatch {
 		}
 	}
 	return r
+}
+
+// Frame rings are a per-request cost worth avoiding: every dial and every
+// server session needs a few hundred KiB of them (a GRO receive ring alone
+// is four 64 KiB superbuffers), and a small-object workload would otherwise
+// hand all of it to the garbage collector per request. Released rings wait
+// on a small free list per kind, matched by exact geometry. The list holds
+// them weakly and is bounded: an idle ring is not live heap, so it neither
+// raises the collector's heap goal nor outlives the next collection, and a
+// burst of sessions beyond the bound allocates fresh rings as before.
+//
+// A ring is released only where its owner is done with it and no other
+// goroutine can reach it — Endpoint.Close, an Endpoint re-size, the end of
+// a server session, the serial server retiring its per-transfer endpoint —
+// and the owner drops its pointer in the same step, so a second Close
+// releases nothing. put also ignores a ring already on the list, so a
+// double release cannot hand one ring to two owners. The lists are
+// process-wide, like a sync.Pool: endpoints and sessions come and go
+// independently of any one Server.
+
+// ringFreeMax bounds each free list; it covers the rings a couple of
+// concurrent clients and their server sessions hold at once.
+const ringFreeMax = 4
+
+// ringShape is the geometry a reused ring must match exactly.
+type ringShape struct {
+	n, slot int  // slots and bytes per slot
+	gro     bool // receive ring with per-message GRO control buffers
+}
+
+func (t *txBatch) shape() ringShape { return ringShape{n: len(t.frames), slot: len(t.frames[0])} }
+
+func (r *rxBatch) shape() ringShape {
+	return ringShape{n: len(r.bufs), slot: len(r.bufs[0]), gro: r.ctrls != nil}
+}
+
+// ringList is a bounded free list of one kind of frame ring, held weakly.
+type ringList[T any] struct {
+	mu    sync.Mutex
+	free  []weak.Pointer[T]
+	shape func(*T) ringShape
+}
+
+var (
+	txFree = ringList[txBatch]{shape: (*txBatch).shape}
+	rxFree = ringList[rxBatch]{shape: (*rxBatch).shape}
+)
+
+// get takes the most recently released ring of shape s off the list, or
+// returns nil.
+func (l *ringList[T]) get(s ringShape) *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.free) - 1; i >= 0; i-- {
+		if r := l.free[i].Value(); r != nil && l.shape(r) == s {
+			l.free = slices.Delete(l.free, i, i+1)
+			return r
+		}
+	}
+	return nil
+}
+
+// put releases r for reuse. Rings the collector has reclaimed make room
+// first, then a full list drops its oldest ring; a nil or already-listed
+// ring is ignored.
+func (l *ringList[T]) put(r *T) {
+	if r == nil {
+		return
+	}
+	w := weak.Make(r)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if slices.Contains(l.free, w) {
+		return
+	}
+	l.free = slices.DeleteFunc(l.free, func(w weak.Pointer[T]) bool { return w.Value() == nil })
+	if len(l.free) == ringFreeMax {
+		l.free = slices.Delete(l.free, 0, 1)
+	}
+	l.free = append(l.free, w)
 }
 
 // pending reports whether drained datagrams are waiting.

@@ -205,8 +205,8 @@ func (c *serverConn) Deliver(msg transport.Message) {
 func (c *serverConn) Hangup() { close(c.inbox) }
 
 // Spawn runs the session body in its own goroutine over a channel-fed Env
-// with its own sendmmsg frame ring, and tears the ring down after the body
-// returns.
+// with its own sendmmsg frame ring, and releases the ring for reuse after
+// the body returns.
 func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 	c.l.wg.Add(1)
 	go func() {
@@ -220,6 +220,8 @@ func (c *serverConn) Spawn(name string, body func(env core.Env)) {
 		body(env)
 		env.FlushBatch()
 		env.recycle()
+		txFree.put(env.tx)
+		env.tx = nil
 	}()
 }
 

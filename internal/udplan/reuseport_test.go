@@ -37,10 +37,12 @@ func TestReuseportServedAccounting(t *testing.T) {
 	}
 	var doneMu sync.Mutex
 	doneCount := 0
+	notify, waitDone := doneSignal(t)
 	srv.Done = func(TransferStats) {
 		doneMu.Lock()
 		doneCount++
 		doneMu.Unlock()
+		notify()
 	}
 	runErr := make(chan error, 1)
 	go func() { runErr <- srv.Run() }()
@@ -81,6 +83,7 @@ func TestReuseportServedAccounting(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	waitDone(clients)
 	if got := srv.Served(); got != clients {
 		t.Errorf("served = %d, want %d", got, clients)
 	}

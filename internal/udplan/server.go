@@ -139,7 +139,10 @@ func (s *Server) Run() error {
 		}
 		err := s.serveOne(e)
 		if err == nil {
-			e = nil // a fresh endpoint per transfer, exactly as before
+			// A fresh endpoint per transfer, exactly as before; the socket
+			// stays open, but the retired endpoint's rings are free.
+			e.releaseRings()
+			e = nil
 			continue
 		}
 		if core.IsTimeout(err) {

@@ -23,10 +23,12 @@ func TestConcurrentServerParallelPulls(t *testing.T) {
 	}
 	var doneMu sync.Mutex
 	var stats []TransferStats
+	notify, waitDone := doneSignal(t)
 	srv.Done = func(ts TransferStats) {
 		doneMu.Lock()
 		stats = append(stats, ts)
 		doneMu.Unlock()
+		notify()
 	}
 	go srv.Run()
 
@@ -65,6 +67,7 @@ func TestConcurrentServerParallelPulls(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
+	waitDone(clients)
 	if got := srv.Served(); got != clients {
 		t.Errorf("served = %d, want %d", got, clients)
 	}
@@ -147,6 +150,8 @@ func TestConcurrentServerSessionCap(t *testing.T) {
 	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
 		return core.SeededSource(7, int(r.Bytes), int(r.Chunk)), true
 	}
+	notify, waitDone := doneSignal(t)
+	srv.Done = func(TransferStats) { notify() }
 	go srv.Run()
 
 	const clients = 4
@@ -177,6 +182,7 @@ func TestConcurrentServerSessionCap(t *testing.T) {
 			t.Fatalf("client %d under cap pressure: %v", i, err)
 		}
 	}
+	waitDone(clients)
 	if got := srv.Served(); got != clients {
 		t.Errorf("served = %d, want %d", got, clients)
 	}

@@ -238,8 +238,8 @@ func (e *Endpoint) SetBatch(n int) {
 		setGRO(e.raw, false)
 		e.gro = false
 	}
+	e.releaseRings()
 	if n <= 1 {
-		e.tx, e.rx = nil, nil
 		return
 	}
 	e.tx = newTxBatch(n, e.mtu, e.flushFrames)
@@ -346,11 +346,21 @@ func Dial(remote string) (*Endpoint, error) {
 }
 
 // Close flushes the batch queue and any held transmissions, then releases
-// the underlying socket.
+// the frame rings and the underlying socket. A packet returned by Recv is
+// invalid once Close returns.
 func (e *Endpoint) Close() error {
 	e.FlushBatch()
 	e.flushTx()
+	e.releaseRings()
 	return e.conn.Close()
+}
+
+// releaseRings hands the frame rings back for reuse and turns batching
+// off; calling it again releases nothing.
+func (e *Endpoint) releaseRings() {
+	txFree.put(e.tx)
+	rxFree.put(e.rx)
+	e.tx, e.rx = nil, nil
 }
 
 // LocalAddr returns the socket's address.

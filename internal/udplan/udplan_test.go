@@ -24,6 +24,33 @@ func newLoopbackServer(t *testing.T) (*Server, string) {
 	return s, conn.LocalAddr().String()
 }
 
+// doneSignal returns a Done-hook notifier and a wait for n notifications.
+// Served and Done lag the client's return — a server session ends only
+// after it has the client's last ack — so accounting assertions wait on
+// the hook first; a server that never gets there fails the test at a
+// generous deadline instead of hanging it.
+func doneSignal(t *testing.T) (notify func(), wait func(n int)) {
+	ch := make(chan struct{}, 64)
+	notify = func() {
+		select {
+		case ch <- struct{}{}:
+		default: // more transfers than any test waits for; the count assertion catches it
+		}
+	}
+	wait = func(n int) {
+		t.Helper()
+		deadline := time.After(30 * time.Second)
+		for i := 0; i < n; i++ {
+			select {
+			case <-ch:
+			case <-deadline:
+				t.Fatalf("only %d of %d transfers reached Done", i, n)
+			}
+		}
+	}
+	return notify, wait
+}
+
 func randomPayload(n int, seed int64) []byte {
 	b := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(b)
@@ -173,6 +200,8 @@ func TestServerServesSequentially(t *testing.T) {
 	payload := randomPayload(4*1024, 5)
 	srv, addr := newLoopbackServer(t)
 	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	notify, waitDone := doneSignal(t)
+	srv.Done = func(TransferStats) { notify() }
 	go srv.Run()
 
 	for i := 0; i < 3; i++ {
@@ -191,6 +220,7 @@ func TestServerServesSequentially(t *testing.T) {
 		}
 		e.Close()
 	}
+	waitDone(3)
 	if srv.Served() != 3 {
 		t.Errorf("served = %d, want 3", srv.Served())
 	}
