@@ -139,7 +139,6 @@ func main() {
 		sockbuf   = flag.Int("sockbuf", 4<<20, "kernel socket buffer size (large windows overflow the default)")
 		streams   = flag.Int("streams", 1, "stripe a pull across this many parallel sessions")
 		ctrlName  = flag.String("controller", "", "rate-control policy: "+strings.Join(core.ControllerNames(), ", ")+" (empty: fixed schedule)")
-		adaptive  = flag.Bool("adaptive", false, "deprecated: same as -controller=aimd")
 		lossTx    = flag.Float64("drop-tx", 0, "inject outbound loss (testing)")
 		lossRx    = flag.Float64("drop-rx", 0, "inject inbound loss (testing)")
 		resume    = flag.Bool("resume", false, "resume a pull across server crashes/restarts (offset REQs from the verified frontier)")
@@ -196,10 +195,6 @@ func main() {
 		fail(exitUsage, "%v", err)
 	}
 	controller := *ctrlName
-	if *adaptive && controller == "" {
-		log.Printf("blastcp: -adaptive is deprecated; use -controller=%s", core.ControllerAIMD)
-		controller = core.ControllerAIMD
-	}
 	if controller != "" && core.ControllerID(controller) == 0 {
 		fail(exitUsage, "unknown controller %q (registered: %s)", controller, strings.Join(core.ControllerNames(), ", "))
 	}

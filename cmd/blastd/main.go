@@ -30,10 +30,10 @@
 // requesting a byte range of one logical stream; the daemon resolves each
 // range against the same generator, so the client's reassembly is
 // byte-identical to an unstriped pull. Requests carrying a rate-control
-// policy id in the REQ flags (blastcp -controller aimd|bbr|autotune, or the
-// deprecated -adaptive) are served with that controller reacting to observed
-// drops and NAKs instead of the fixed REQ parameters; an id this build does
-// not know degrades to AIMD.
+// policy id in the REQ flags (blastcp -controller aimd|bbr|autotune) are
+// served with that controller reacting to observed drops and NAKs instead
+// of the fixed REQ parameters; an id this build does not know degrades to
+// AIMD.
 //
 // SIGINT/SIGTERM drains gracefully: new sessions are refused (clients
 // retry elsewhere), active transfers get up to -drain to finish — a second

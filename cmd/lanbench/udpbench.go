@@ -2,10 +2,9 @@ package main
 
 // The -udp mode: loopback throughput benchmarks for the real-UDP datapath.
 // The classic suite compares the single-syscall path (batch=1), the
-// sendmmsg/recvmmsg batched path (batch=32), and a faithful emulation of
-// the pre-batching pipeline (serial server, whole payload materialised per
-// pull, no streaming) as the baseline — archived as BENCH_3.json and
-// guarded by CI's perf-regression gate (cmd/benchgate). The striped sweep
+// sendmmsg/recvmmsg batched path (batch=32) and the GSO tier — archived as
+// BENCH_3.json and guarded by CI's perf-regression gate (cmd/benchgate).
+// The striped sweep
 // measures streams ∈ {1,2,4,8} × {fixed, aimd, bbr} pulls against the
 // sharded server, on a clean loopback and under a 1% seeded drop adversary
 // — archived as BENCH_4.json and the EXPERIMENTS.md streams×policy table
@@ -15,7 +14,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -26,6 +24,7 @@ import (
 
 	"blastlan/internal/core"
 	"blastlan/internal/params"
+	"blastlan/internal/session"
 	"blastlan/internal/store"
 	"blastlan/internal/udplan"
 	"blastlan/internal/wire"
@@ -37,7 +36,6 @@ type udpPullCase struct {
 	bytes      int
 	batch      int // sendmmsg/recvmmsg ring size; 1 = single-syscall
 	window     int
-	legacy     bool        // pre-PR pipeline: serial server, materialised payload, no streaming
 	tier       udplan.Tier // datapath tier cap (TierAuto: probe for the best)
 	controller string      // rate-control policy the REQ asks the server for
 	drop       float64     // seeded wire-loss probability on the client endpoint
@@ -69,19 +67,11 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 	defer conn.Close()
 	setSocketBufs(conn)
 	srv := udplan.NewServer(conn)
-	if c.legacy {
-		srv.Data = func(r wire.Req) ([]byte, bool) {
-			payload := make([]byte, r.Bytes)
-			rand.New(rand.NewSource(int64(r.Bytes))).Read(payload)
-			return payload, true
-		}
-	} else {
-		srv.Concurrency = 2
-		srv.Batch = c.batch
-		srv.MaxTier = c.tier
-		srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-			return core.SeededSource(int64(r.Bytes), int(r.Bytes), int(r.Chunk)), true
-		}
+	srv.Concurrency = 2
+	srv.Batch = c.batch
+	srv.MaxTier = c.tier
+	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
+		return core.SeededSource(int64(r.Bytes), int(r.Bytes), int(r.Chunk)), true
 	}
 	go srv.Run()
 
@@ -91,10 +81,8 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 	}
 	defer e.Close()
 	e.SetSocketBuffers(udpSocketBuf)
-	if !c.legacy {
-		e.MaxTier = c.tier
-		e.SetBatch(c.batch)
-	}
+	e.MaxTier = c.tier
+	e.SetBatch(c.batch)
 	engaged := e.Tier()
 	if c.drop > 0 {
 		if err := e.SetAdversary(params.Adversary{Loss: params.LossModel{PNet: c.drop}}, 1); err != nil {
@@ -113,9 +101,7 @@ func runUDPPull(c udpPullCase) (time.Duration, udplan.Tier, error) {
 		MaxAttempts:    10000,
 		Linger:         50 * time.Millisecond,
 		ReceiverIdle:   10 * time.Second,
-	}
-	if !c.legacy {
-		cfg.Sink = func(int, []byte) {} // stream: checksum and discard
+		Sink:           func(int, []byte) {}, // stream: checksum and discard
 	}
 	t0 := time.Now()
 	res, err := udplan.Pull(e, cfg)
@@ -418,55 +404,35 @@ func runBusyBackoff(bytes, clients int) (time.Duration, error) {
 	return elapsed, nil
 }
 
-// runFanoutBench measures one-to-many distribution: a single source daemon
-// serving the seeded object, fanned out to 8 receivers either through the
-// depth-2 stripe-relay tree (relays=4: the source transmits each stripe
-// once, cut-through relay boards serve the children while still receiving)
-// or as 8 independent whole-object pulls (relays=0: the source pays 8×).
+// runFanoutBench measures one-to-many distribution: a source serving the
+// seeded object, fanned out to 8 receivers either through the depth-2
+// stripe-relay tree (relays=4: the source transmits each stripe once,
+// cut-through relay boards serve the children while still receiving) or as
+// 8 independent whole-object pulls (relays=0: the source pays 8×). Every
+// socket, the source's included, carries the same modeled line rate.
 // Returns the fan-out's makespan; aggregate MB/s is 8×object over it.
 func runFanoutBench(objBytes, relays, lineRate int) (time.Duration, error) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	res, err := session.RunFanout(&udplan.Host{Batch: 32, LineRate: lineRate},
+		session.FanoutSpec{
+			N:      8,
+			Relays: relays,
+			Bytes:  objBytes,
+			Chunk:  1000,
+			Window: 128,
+			Tr:     250 * time.Millisecond,
+		})
 	if err != nil {
-		return 0, err
+		return res.Makespan, err
 	}
-	defer conn.Close()
-	setSocketBufs(conn)
-	srv := udplan.NewServer(conn)
-	srv.Concurrency = 16
-	srv.Batch = 32
-	srv.LineRate = lineRate
-	srv.Source = func(r wire.Req) (core.ChunkSource, bool) {
-		stream := int(r.StreamBytes())
-		src := core.SeededSource(int64(stream), stream, int(r.Chunk))
-		return core.OffsetSource(src, int(r.OffsetChunks)), true
-	}
-	go srv.Run()
-
-	res, err := udplan.RunFanout(conn.LocalAddr().String(), udplan.FanoutOptions{
-		N:         8,
-		Relays:    relays,
-		Bytes:     objBytes,
-		Chunk:     1000,
-		Window:    128,
-		Tr:        250 * time.Millisecond,
-		Batch:     32,
-		SocketBuf: udpSocketBuf,
-		LineRate:  lineRate,
-	})
-	if err != nil {
-		return res.Elapsed, err
-	}
-	if res.Completed != 8 {
-		for _, r := range res.Receivers {
-			for _, so := range r.Stripes {
-				if so.Err != nil {
-					return res.Elapsed, fmt.Errorf("fanout receiver %d stripe %d: %w", r.Receiver, so.Stripe.Index, so.Err)
-				}
+	if res.Intact != 8 {
+		for i, r := range res.Receivers {
+			if r.Err != nil {
+				return res.Makespan, fmt.Errorf("fanout receiver %d: %w", i, r.Err)
 			}
 		}
-		return res.Elapsed, fmt.Errorf("fanout completed %d of 8 receivers", res.Completed)
+		return res.Makespan, fmt.Errorf("fanout delivered %d of 8 intact objects", res.Intact)
 	}
-	return res.Elapsed, nil
+	return res.Makespan, nil
 }
 
 // stripedCase is one streams×policy×network loopback measurement.
@@ -588,7 +554,6 @@ func runUDPBench(path string, quick bool, streams int, controller string, tierNa
 			// UDP_SEGMENT is unsupported — the snapshot's tier column says
 			// which actually ran.
 			cases := []udpPullCase{
-				{name: fmt.Sprintf("udp_pull_%dmb_legacy", mb), bytes: size, batch: 1, window: 128, legacy: true, tier: udplan.TierAuto},
 				{name: fmt.Sprintf("udp_pull_%dmb_batch1", mb), bytes: size, batch: 1, window: 128, tier: udplan.TierAuto},
 				{name: fmt.Sprintf("udp_pull_%dmb_batch32", mb), bytes: size, batch: 32, window: 128, tier: udplan.TierMmsg},
 				{name: fmt.Sprintf("udp_pull_%dmb_gso", mb), bytes: size, batch: 32, window: 128, tier: udplan.TierGSO},

@@ -3,7 +3,7 @@ package core
 import "time"
 
 // AIMD blast rate control — the "aimd" policy of the RateController
-// registry (ratecontrol.go), which the deprecated Config.Adaptive maps to.
+// registry (ratecontrol.go).
 //
 // The paper fixes every transfer parameter — window, batch, retransmission
 // interval — at connection setup, which is exactly right for its matched

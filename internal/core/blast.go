@@ -17,7 +17,7 @@ import (
 // interface with SendAsync so that a double-buffered interface overlaps the
 // copy of packet k+1 with the transmission of packet k.
 func sendBlast(env Env, c Config, async bool) (SendResult, error) {
-	if c.Controller != "" || c.Adaptive {
+	if c.Controller != "" {
 		return sendBlastControlled(env, c, async)
 	}
 	var res SendResult
@@ -44,11 +44,10 @@ func sendBlast(env Env, c Config, async bool) (SendResult, error) {
 }
 
 // sendBlastControlled is the blast sender under pluggable rate control
-// (Config.Controller; the deprecated Config.Adaptive maps to "aimd"): each
-// window's size comes from the policy, each completed window's recovery
-// cost (and measured duration) feeds back into it, and the policy's pacing
-// and batch decisions are actuated on substrates that support them. The
-// receiver needs no changes — it judges windows by the high-water FlagLast
+// (Config.Controller): each window's size comes from the policy, each
+// completed window's recovery cost (and measured duration) feeds back into
+// it, and the policy's pacing and batch decisions are actuated on
+// substrates that support them. The receiver needs no changes — it judges windows by the high-water FlagLast
 // sequence, whatever their sizes.
 func sendBlastControlled(env Env, c Config, async bool) (SendResult, error) {
 	var res SendResult

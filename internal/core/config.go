@@ -144,11 +144,6 @@ type Config struct {
 	// ValidateConfig. Ignored by StopAndWait and SlidingWindow.
 	Controller string
 
-	// Adaptive is the deprecated PR-4 spelling of Controller: true maps to
-	// Controller="aimd" when Controller is empty. Kept so existing callers
-	// and the wire flag bit keep working.
-	Adaptive bool
-
 	// StripeOffset and StripeTotal identify this transfer as one stripe of
 	// a larger logical stream: the transfer's Bytes start StripeOffset
 	// bytes into a StripeTotal-byte stream. Both zero for a standalone
@@ -268,15 +263,11 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.validateStripe(); err != nil {
 		return c, err
 	}
-	if c.Controller == "" && c.Adaptive {
-		c.Controller = ControllerAIMD
-	}
 	if c.Controller != "" {
 		if _, ok := controllerRegistry[c.Controller]; !ok {
 			return c, fmt.Errorf("%w: unknown controller %q (registered: %s)",
 				ErrBadConfig, c.Controller, strings.Join(ControllerNames(), ", "))
 		}
-		c.Adaptive = true
 	}
 	if c.Name != "" && !wire.ValidReqName(c.Name) {
 		return c, fmt.Errorf("%w: Name %q does not fit the request encoding", ErrBadConfig, c.Name)

@@ -19,8 +19,8 @@ import (
 
 // ReqOf encodes a transfer configuration as a request payload. The
 // rate-control policy rides as its registered wire id; a policy registered
-// without an id (or the deprecated Adaptive bool alone) encodes as the AIMD
-// id, the only policy pre-policy-byte servers know.
+// without an id encodes as the AIMD id, the only policy pre-policy-byte
+// servers know.
 func ReqOf(c Config, push bool) wire.Req {
 	chunk := c.ChunkSize
 	if chunk == 0 {
@@ -31,8 +31,6 @@ func ReqOf(c Config, push bool) wire.Req {
 		if policy = ControllerID(c.Controller); policy == 0 {
 			policy = ControllerID(ControllerAIMD)
 		}
-	} else if c.Adaptive {
-		policy = ControllerID(ControllerAIMD)
 	}
 	return wire.Req{
 		Bytes:        uint64(c.Bytes),
@@ -65,7 +63,6 @@ func ConfigOf(transferID uint32, r wire.Req) Config {
 		Window:         int(r.Window),
 		RetransTimeout: time.Duration(r.TrMicros) * time.Microsecond,
 		Controller:     ctrl,
-		Adaptive:       ctrl != "",
 		StripeOffset:   int(r.Offset()),
 		StripeTotal:    int(r.Total),
 		Name:           r.Name,

@@ -14,8 +14,8 @@ import (
 // choice: RateController is the interface the blast sender drives, and a
 // registry of named factories turns a policy name (carried end to end: CLI
 // flag → Config.Controller → REQ policy byte → serving side) into a
-// controller instance. "aimd" preserves the PR-4 behaviour exactly;
-// Adaptive=true maps to it for back-compat.
+// controller instance. "aimd" preserves the PR-4 behaviour exactly, and a
+// REQ's lone pre-policy adaptive bit decodes to it.
 //
 // Contract: a controller's *window and batch decisions* must be a pure
 // function of its observation sequence's recovery counters — never of

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"blastlan/internal/params"
+	"blastlan/internal/session"
 	"blastlan/internal/simrun"
 )
 
@@ -46,19 +47,16 @@ func runFanout(opt Options) (*Result, error) {
 	err := forEachPoint(opt.Workers, len(models), func(mi int) error {
 		m := models[mi]
 		base := simrun.FanoutScenario{
-			Name:  "fanout-" + m.name,
-			Cost:  m.cost,
-			N:     8,
-			Bytes: bytes,
-			Chunk: 1000,
-			Seed:  opt.Seed,
+			Name:       "fanout-" + m.name,
+			Cost:       m.cost,
+			FanoutSpec: session.FanoutSpec{N: 8, Bytes: bytes, Chunk: 1000, Seed: opt.Seed},
 		}
 		row := func(topology string, r simrun.FanoutResult) []string {
 			return []string{
 				m.name, topology,
 				fmt.Sprintf("%d", r.SourceDataSent),
 				fmt.Sprintf("%d", r.SourceTxBytes),
-				fmt.Sprintf("%d/8", r.Completed),
+				fmt.Sprintf("%d/8", r.Intact),
 				fmt.Sprintf("%.2f", r.AggMBps()),
 				fmt.Sprintf("%v", r.Makespan.Round(time.Microsecond)),
 			}

@@ -43,17 +43,13 @@ type Board struct {
 // sleeps between board polls while the chunk it needs is still upstream.
 const boardWaitQuantum = 200 * time.Microsecond
 
-// NewBoard creates a board for a bytes-long object arriving in
-// upstream-chunk-sized pieces. sim selects virtual-time polling for the
-// blocked readers (see Options.Sim in internal/store for the same knob).
-func NewBoard(bytes, chunk int, sim bool) *Board {
-	return NewBoardAt(0, bytes, chunk, sim)
-}
-
-// NewBoardAt creates a board whose byte range sits origin bytes into the
+// NewBoardAt creates a board for a bytes-long object arriving in
+// upstream-chunk-sized pieces, whose byte range sits origin bytes into the
 // logical stream — a stripe relay's board: the upstream stripe pull fills
 // it with stripe-local offsets, while children address it with the stream's
-// own stripe-range REQs (wire.Req.Offset), which SourceReq rebases.
+// own stripe-range REQs (wire.Req.Offset), which SourceReq rebases. sim
+// selects virtual-time polling for the blocked readers (see Options.Sim in
+// internal/store for the same knob).
 func NewBoardAt(origin, bytes, chunk int, sim bool) *Board {
 	if bytes <= 0 || chunk <= 0 || origin < 0 {
 		panic(fmt.Sprintf("session: NewBoardAt(%d, %d, %d): bad dimensions", origin, bytes, chunk))
@@ -72,12 +68,12 @@ func NewBoardAt(origin, bytes, chunk int, sim bool) *Board {
 
 // Sink returns the ChunkSink the upstream pull writes through: wire it
 // into the pull's Config.Sink (or a PullResume's).
-func (b *Board) Sink() core.ChunkSink { return b.Put }
+func (b *Board) Sink() core.ChunkSink { return b.put }
 
-// Put lands one upstream chunk at byte offset off and wakes blocked
+// put lands one upstream chunk at byte offset off and wakes blocked
 // readers. Duplicate deliveries (retransmissions the receiver let through,
 // resumed sessions re-covering the frontier) are idempotent.
-func (b *Board) Put(off int, chunk []byte) {
+func (b *Board) put(off int, chunk []byte) {
 	if len(chunk) == 0 {
 		return
 	}
@@ -103,32 +99,6 @@ func (b *Board) Fail(err error) {
 	}
 	b.mu.Unlock()
 	b.cond.Broadcast()
-}
-
-// Err returns the poisoning error, if any.
-func (b *Board) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
-// Complete reports whether every chunk has landed.
-func (b *Board) Complete() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.got == len(b.have)
-}
-
-// Bytes returns the assembled object once every chunk has landed, nil
-// otherwise. The returned slice is the board's own buffer — callers only
-// read it.
-func (b *Board) Bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.got != len(b.have) {
-		return nil
-	}
-	return b.buf
 }
 
 // ready reports (locked) whether byte range [off, off+n) has fully landed.

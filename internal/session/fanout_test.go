@@ -8,43 +8,15 @@ import (
 	"blastlan/internal/wire"
 )
 
-func TestPlanFanout(t *testing.T) {
-	tr := PlanFanout(8, 3)
-	want := []int{-1, -1, -1, 0, 0, 0, 1, 1}
-	for i, p := range tr.Parent {
-		if p != want[i] {
-			t.Errorf("Parent[%d] = %d, want %d", i, p, want[i])
-		}
+// assembled returns the board's object once every chunk has landed, nil
+// before.
+func assembled(b *Board) []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.got != len(b.have) {
+		return nil
 	}
-	if d := tr.Depth(); d != 2 {
-		t.Errorf("Depth() = %d, want 2", d)
-	}
-	if got := tr.Internal(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("Internal() = %v, want [0 1]", got)
-	}
-	if kids := tr.Children(0); len(kids) != 3 || kids[0] != 3 || kids[2] != 5 {
-		t.Errorf("Children(0) = %v", kids)
-	}
-	if kids := tr.Children(7); kids != nil {
-		t.Errorf("Children(7) = %v, want none", kids)
-	}
-	// A flat plan: everyone pulls from the source.
-	flat := PlanFanout(4, 0)
-	for i, p := range flat.Parent {
-		if p != -1 {
-			t.Errorf("flat Parent[%d] = %d", i, p)
-		}
-	}
-	if flat.Depth() != 1 || flat.Internal() != nil {
-		t.Errorf("flat plan depth %d internal %v", flat.Depth(), flat.Internal())
-	}
-	// Wider trees stay consistent: every parent index precedes its child.
-	wide := PlanFanout(64, 4)
-	for i, p := range wide.Parent {
-		if p >= i {
-			t.Errorf("Parent[%d] = %d is not upstream", i, p)
-		}
-	}
+	return b.buf
 }
 
 func TestBoardCutThrough(t *testing.T) {
@@ -53,7 +25,7 @@ func TestBoardCutThrough(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	b := NewBoard(len(payload), chunk, false)
+	b := NewBoardAt(0, len(payload), chunk, false)
 	src, ok := b.SourceReq(wire.Req{Bytes: uint64(len(payload)), Chunk: chunk}, nil)
 	if !ok {
 		t.Fatal("full-object request refused")
@@ -71,18 +43,18 @@ func TestBoardCutThrough(t *testing.T) {
 	default:
 	}
 	for i := 0; i <= 5; i++ {
-		b.Put(i*chunk, payload[i*chunk:(i+1)*chunk])
+		b.put(i*chunk, payload[i*chunk:(i+1)*chunk])
 	}
 	if got := <-served; !bytes.Equal(got, payload[5*chunk:6*chunk]) {
 		t.Error("served chunk differs from the delivered one")
 	}
-	if b.Complete() || b.Bytes() != nil {
+	if assembled(b) != nil {
 		t.Error("board complete with chunks still upstream")
 	}
 	for i := 6; i < n; i++ {
-		b.Put(i*chunk, payload[i*chunk:(i+1)*chunk])
+		b.put(i*chunk, payload[i*chunk:(i+1)*chunk])
 	}
-	if !b.Complete() || !bytes.Equal(b.Bytes(), payload) {
+	if !bytes.Equal(assembled(b), payload) {
 		t.Error("assembled object differs from the upstream payload")
 	}
 	// An offset REQ (a resuming child) reads from its frontier: seq 0 of a
@@ -107,7 +79,7 @@ func TestBoardCutThrough(t *testing.T) {
 }
 
 func TestBoardFailUnblocks(t *testing.T) {
-	b := NewBoard(1000, 100, false)
+	b := NewBoardAt(0, 1000, 100, false)
 	src, _ := b.SourceReq(wire.Req{Bytes: 1000, Chunk: 100}, nil)
 	served := make(chan int)
 	go func() {
@@ -117,7 +89,9 @@ func TestBoardFailUnblocks(t *testing.T) {
 	if n := <-served; n != 100 {
 		t.Errorf("poisoned read served %d bytes, want the zero-filled 100", n)
 	}
-	if b.Err() == nil {
-		t.Error("Err() lost the poisoning error")
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err == nil {
+		t.Error("the board lost the poisoning error")
 	}
 }

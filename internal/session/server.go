@@ -41,16 +41,12 @@ const drainPoll = 50 * time.Millisecond
 // unmodified core protocol engines over its own channel-fed Env — the
 // fan-out a daemon needs to serve many clients at once, on any substrate.
 type Server struct {
-	// Data, when non-nil, satisfies pull requests (MoveFrom): it returns
-	// the bytes to blast back for an accepted request.
-	Data func(wire.Req) ([]byte, bool)
-
-	// Source, when non-nil, satisfies pull requests without materialising
-	// them: it returns a streaming chunk source (see core.ChunkSource).
-	// Preferred over Data when both are set — a 1 GB pull then never means
-	// a 1 GB allocation. Striped requests resolve their range through the
-	// REQ's stripe fields (wire.Req.OffsetChunks/Total) exactly as unstriped
-	// ones; the handler sees the narrowed request.
+	// Source, when non-nil, satisfies pull requests (MoveFrom) without
+	// materialising them: it returns a streaming chunk source (see
+	// core.ChunkSource), so a 1 GB pull never means a 1 GB allocation.
+	// Striped requests resolve their range through the REQ's stripe fields
+	// (wire.Req.OffsetChunks/Total) exactly as unstriped ones; the handler
+	// sees the narrowed request.
 	Source func(wire.Req) (core.ChunkSource, bool)
 
 	// SourceEnv is Source with the session's protocol environment passed
@@ -293,6 +289,12 @@ func (s *Server) Run(l transport.Listener) error {
 	if p, ok := l.(interface{ AcceptPoll() time.Duration }); ok {
 		poll = p.AcceptPoll()
 	}
+	// Without a Validate hook, a listener that knows its substrate's
+	// limits (a socket's MTU) vets each accepted configuration instead.
+	validate := s.Validate
+	if v, ok := l.(interface{ ValidateConfig(core.Config) error }); ok && validate == nil {
+		validate = v.ValidateConfig
+	}
 
 	for {
 		idle := s.Idle
@@ -348,7 +350,7 @@ func (s *Server) Run(l transport.Listener) error {
 			s.active.Add(1)
 			key := sess.key
 			conn.Spawn("session", func(env core.Env) {
-				s.runSession(env, peer)
+				s.runSession(env, peer, validate)
 				table.remove(key)
 				s.active.Add(-1)
 			})
@@ -387,7 +389,7 @@ func (s *Server) RunAll(ls ...transport.Listener) error {
 }
 
 // runSession drives one client conversation to completion.
-func (s *Server) runSession(env core.Env, peer transport.Peer) {
+func (s *Server) runSession(env core.Env, peer transport.Peer, validate func(core.Config) error) {
 	// The opening REQ is already queued; the idle bound reaps a session
 	// whose client vanished mid-handshake so it cannot hold a slot forever.
 	idle := s.SessionIdle
@@ -397,7 +399,7 @@ func (s *Server) runSession(env core.Env, peer transport.Peer) {
 	if idle <= 0 {
 		idle = 30 * time.Second
 	}
-	err := s.ServeEnv(env, idle, s.Validate, func() transport.Peer { return peer })
+	err := s.ServeEnv(env, idle, validate, func() transport.Peer { return peer })
 	if err != nil && !core.IsTimeout(err) && !errors.Is(err, net.ErrClosed) {
 		s.logf("session: %v: %v", peer, err)
 	}
@@ -493,22 +495,14 @@ func (s *Server) ServeEnv(env core.Env, idle time.Duration, validate func(core.C
 			c.Source = src
 			return c, true
 		}
-		if s.Source != nil {
-			src, ok := s.Source(r)
-			if !ok {
-				return core.Config{}, false
-			}
-			c.Source = src
-			return c, true
-		}
-		if s.Data == nil {
+		if s.Source == nil {
 			return core.Config{}, false
 		}
-		payload, ok := s.Data(r)
-		if !ok || len(payload) != c.Bytes {
+		src, ok := s.Source(r)
+		if !ok {
 			return core.Config{}, false
 		}
-		c.Payload = payload
+		c.Source = src
 		return c, true
 	})
 	if err != nil {

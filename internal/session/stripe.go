@@ -137,10 +137,10 @@ func (sc *stripeCancel) first() (int, error) {
 }
 
 // PullStriped requests the logical transfer cfg describes (Bytes, ChunkSize,
-// Protocol, Strategy, Window, Adaptive, timeouts) through the fabric as
+// Protocol, Strategy, Window, Controller, timeouts) through the fabric as
 // opts.Streams concurrent stripe sessions and reassembles the result. The
 // serving side must resolve each stripe's REQ against the logical stream
-// (see wire.Req.Offset); Server does this whenever its Source/Data handler
+// (see wire.Req.Offset); Server does this whenever its Source handler
 // honours the request's stripe fields. cfg.Sink and cfg.Payload are ignored
 // — delivery goes through opts.Sink.
 //

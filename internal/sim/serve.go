@@ -305,3 +305,59 @@ func (f *Fabric) Fan(n int, body func(i int, c transport.Client) error) []error 
 	f.P.WaitCond(&sig, -1, func() bool { return done == n })
 	return errs
 }
+
+// Host implements transport.Host on one simulated network: every node is a
+// fresh station, every server and body a kernel process, and the clock is
+// the kernel's virtual time. Stations and processes are created in call
+// order, so a runner's call order fixes the run bit for bit. Servers stop
+// on their own idle bound once the network falls quiet; conns are
+// endpoints that outlive a failed session, so bodies get no redial.
+type Host struct {
+	Net  *Network
+	errs []error
+}
+
+// Serve adds a station and runs svc on it as a server process.
+func (h *Host) Serve(name string, svc transport.Service) (transport.Peer, error) {
+	st := h.Net.AddStation(name)
+	i := len(h.errs)
+	h.errs = append(h.errs, nil)
+	Serve(h.Net, st, func(l *Listener) { h.errs[i] = svc.Run(l) })
+	return st, nil
+}
+
+// Spawn adds a client station and runs body as a kernel process talking to
+// node, which must be a station Serve returned.
+func (h *Host) Spawn(name string, node transport.Peer, delay time.Duration,
+	body func(env core.Env, redial func() (core.Env, error))) {
+	st, srv := h.Net.AddStation(name), node.(*Station)
+	h.Net.K.Go(name, func(p *Proc) {
+		ep := NewEndpoint(p, st, srv)
+		if delay > 0 {
+			ep.SleepFor(delay)
+		}
+		body(ep, nil)
+	})
+}
+
+// After schedules fn on the kernel d of virtual time from now.
+func (h *Host) After(d time.Duration, fn func()) { h.Net.K.After(d, fn) }
+
+// Run runs the kernel until no event is left.
+func (h *Host) Run() error {
+	if err := h.Net.K.Run(); err != nil {
+		return err
+	}
+	for i, err := range h.errs {
+		if err != nil {
+			return fmt.Errorf("sim: server %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Now returns the kernel's virtual time.
+func (h *Host) Now() time.Duration { return h.Net.K.Now() }
+
+// Virtual reports true: waits must spend virtual time.
+func (h *Host) Virtual() bool { return true }

@@ -1,8 +1,6 @@
 package simrun
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"time"
 
@@ -13,142 +11,34 @@ import (
 	"blastlan/internal/wire"
 )
 
-// FanoutScenario is a DES-backed one-to-many replication experiment: one
-// source distributes the same seeded object to N receivers, either through
-// a depth-2 stripe-relay tree (Relays > 0) or as N independent pulls
-// (Relays == 0, the baseline the tree is judged against).
-//
-// The tree is the relay shape of ROADMAP item 4: the source blasts each
-// stripe of the object exactly once — to the relay that owns it — so the
-// source pays ~1× the object in transmitted bytes no matter how many
-// receivers there are. Each relay runs a cut-through board
-// (session.Board): it serves a stripe chunk to its children the moment the
-// chunk lands, while the rest of the stripe is still arriving, and every
-// receiver assembles the full object by pulling each stripe from the relay
-// that owns it. All hops ride the ordinary session layer (REQ stripe
-// fields, PullResume budgets, BUSY/RETRY-AFTER), so a mid-tree failure
-// repairs the affected subtree instead of restarting the fan-out.
+// FanoutScenario is a DES-backed one-to-many replication experiment: the
+// shared stripe-relay fan-out (session.RunFanout — a depth-2 tree with
+// Relays > 0, N independent pulls with Relays == 0) on a sim.Host. The
+// source blasts each stripe once, to the relay that owns it, so it pays ~1×
+// the object in transmitted bytes no matter how many receivers there are.
 //
 // Everything runs under one kernel's handoff scheduling, so a run is
 // deterministic bit for bit at any GOMAXPROCS — the property the sim==UDP
-// fanout conformance suite pins.
+// fanout conformance suite pins. Every receiver keeps its assembled object
+// and is verified against the seeded one byte for byte.
 type FanoutScenario struct {
 	// Name labels the scenario in test output and experiment tables.
 	Name string
 	// Cost is the simulator hardware model (zero: modern gigabit).
 	Cost params.CostModel
-	// N is the number of receivers (default 8).
-	N int
-	// Relays is the number of stripe relays between the source and the
-	// receivers. 0 runs the baseline: every receiver pulls the whole
-	// object straight from the source.
-	Relays int
-	// Bytes is the object size (default 256 KiB).
-	Bytes int
-	// Chunk is the data packet size (default params.DataPacketSize).
-	Chunk int
-	// Window splits blasts (default 16).
-	Window int
-	// Tr is every hop's retransmission timeout (default 100 ms virtual).
-	Tr time.Duration
-	// Controller names the rate-control policy each pull requests (empty:
-	// fixed schedule).
-	Controller string
-	// Concurrency caps each server's simultaneous sessions (default: room
-	// for the whole plan).
-	Concurrency int
-	// RetryAfter is the servers' BUSY back-off hint (zero: server default).
-	RetryAfter time.Duration
-	// Arrivals staggers receivers: receiver i sleeps Arrivals[i] before
-	// dialing (missing entries arrive at t=0). Relays always start at t=0.
-	Arrivals []time.Duration
-	// DrainAt, when positive, calls BeginDrain on every server (source and
-	// relays) at that virtual time: in-flight subtrees complete, latecomers
-	// are refused BUSY/RETRY-AFTER.
-	DrainAt time.Duration
-	// MaxResumes and MaxBusyWaits bound every pull's recovery budget, and
-	// Backoff is its initial retry delay (zero: core.ResumeOptions
-	// defaults).
-	MaxResumes   int
-	MaxBusyWaits int
-	Backoff      time.Duration
-	// Seed drives backoff jitter and the network model.
-	Seed int64
+	// FanoutSpec is the tree; Seed also drives the network model.
+	session.FanoutSpec
 }
 
-// withFanoutDefaults fills the zero fields.
-func (sc FanoutScenario) withFanoutDefaults() FanoutScenario {
-	if sc.Cost.BandwidthBitsPerSec == 0 {
-		sc.Cost = params.ModernGigabit()
-	}
-	if sc.N <= 0 {
-		sc.N = 8
-	}
-	if sc.Bytes <= 0 {
-		sc.Bytes = 256 << 10
-	}
-	if sc.Chunk <= 0 {
-		sc.Chunk = params.DataPacketSize
-	}
-	if sc.Window == 0 {
-		sc.Window = 16
-	}
-	if sc.Tr == 0 {
-		sc.Tr = 100 * time.Millisecond
-	}
-	if sc.Concurrency <= 0 {
-		sc.Concurrency = sc.N + sc.Relays + 2
-	}
-	return sc
-}
-
-// FanoutReceiverResult is one receiver's end-to-end outcome, all stripe
-// sessions folded together.
-type FanoutReceiverResult struct {
-	Receiver   int
-	Arrival    time.Duration
-	Start      time.Duration // first stripe REQ issued (virtual)
-	End        time.Duration // last stripe completed (virtual)
-	Elapsed    time.Duration
-	Completed  bool
-	ChecksumOK bool
-	Data       []byte
-	// Counts sums the receiver's stripe sessions: receiver-side counters
-	// net of linger plus the serving sessions' sender-side ones.
-	Counts Counts
-	Resume core.ResumeStats
-	// Busy reports that a stripe surfaced a BUSY refusal after exhausting
-	// its busy-wait budget; RetryAfter is the server's hint.
-	Busy       bool
-	RetryAfter time.Duration
-	Err        string
-}
-
-// MBps is the receiver's end-to-end virtual throughput.
-func (r FanoutReceiverResult) MBps() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(len(r.Data)) / r.Elapsed.Seconds() / 1e6
-}
-
-// FanoutRelayResult is one relay's uplink outcome.
-type FanoutRelayResult struct {
-	Relay     int
-	Stripe    core.Stripe
-	Completed bool
-	Counts    Counts
-	Resume    core.ResumeStats
-	Err       string
-}
-
-// FanoutResult reports one fan-out run.
+// FanoutResult is one fan-out run with every hop's counters projected:
+// receiver-side net of linger plus the serving sessions' sender-side ones.
 type FanoutResult struct {
-	Receivers []FanoutReceiverResult
-	Relays    []FanoutRelayResult
-	Completed int           // receivers that assembled an intact object
-	Makespan  time.Duration // first receiver start to last receiver end
-	AggBytes  int64         // payload bytes delivered to intact receivers
+	session.FanoutResult
+	// ReceiverCounts[i] sums receiver i's stripe sessions (failed stripes
+	// count nothing); RelayCounts[k] is relay k's uplink.
+	ReceiverCounts []Counts
+	RelayCounts    []Counts
+	AggBytes       int64 // payload bytes delivered to intact receivers
 	// SourceDataSent counts data packets the source's sessions transmitted
 	// — the headline: ~1 object with relays, N objects without.
 	SourceDataSent int
@@ -175,302 +65,80 @@ func recvCounts(res core.RecvResult) Counts {
 	}
 }
 
-// addResume folds one session's resume stats into an aggregate.
-func addResume(agg *core.ResumeStats, s core.ResumeStats) {
-	agg.Sessions += s.Sessions
-	agg.BusyWaits += s.BusyWaits
-	agg.ResumedChunks += s.ResumedChunks
-	agg.DupChunks += s.DupChunks
-}
-
-// fanoutParts returns the stripe plan: the relay stripes, or one
-// whole-object "stripe" for the baseline.
-func (sc FanoutScenario) fanoutParts() []core.Stripe {
-	if sc.Relays > 0 {
-		return core.PlanStripes(sc.Bytes, sc.Chunk, sc.Relays)
+// hopCounts projects one pull: its serving session's sender-side counters,
+// plus its receiver-side ones when the pull did not fail.
+func hopCounts(hop session.FanoutHop) Counts {
+	var c Counts
+	if hop.Err == nil {
+		c = recvCounts(hop.Recv)
 	}
-	return []core.Stripe{{Index: 0, Offset: 0, Bytes: sc.Bytes}}
+	c.DataSent, c.Retransmits = hop.Sent.Packets, hop.Sent.Retransmits
+	return c
 }
 
-// seededReqSource streams the size-seeded object exactly like blastd: any
-// stripe REQ resolves against the logical stream.
-func seededReqSource(r wire.Req) (core.ChunkSource, bool) {
-	if r.Bytes == 0 || r.Chunk == 0 {
-		return nil, false
+// add sums o into c.
+func (c *Counts) add(o Counts) {
+	c.DataSent += o.DataSent
+	c.Retransmits += o.Retransmits
+	c.Rounds += o.Rounds
+	c.Timeouts += o.Timeouts
+	c.AcksIn += o.AcksIn
+	c.NaksIn += o.NaksIn
+	c.DataRecv += o.DataRecv
+	c.Duplicates += o.Duplicates
+	c.AcksOut += o.AcksOut
+	c.NaksOut += o.NaksOut
+}
+
+// projectFanout folds a fan-out run into per-hop Counts, substrate
+// independently: the sim==UDP conformance suite compares exactly this
+// projection.
+func projectFanout(res session.FanoutResult, bytes int) FanoutResult {
+	out := FanoutResult{
+		FanoutResult:   res,
+		ReceiverCounts: make([]Counts, len(res.Receivers)),
+		AggBytes:       int64(res.Intact) * int64(bytes),
 	}
-	stream := int(r.StreamBytes())
-	return core.OffsetSource(
-		core.SeededSource(int64(stream), stream, int(r.Chunk)),
-		int(r.OffsetChunks)), true
+	for _, hop := range res.Relays {
+		c := hopCounts(hop)
+		out.RelayCounts = append(out.RelayCounts, c)
+		out.SourceDataSent += c.DataSent
+	}
+	for i, r := range res.Receivers {
+		c := &out.ReceiverCounts[i]
+		for _, hop := range r.Stripes {
+			if hop.Err == nil {
+				c.add(hopCounts(hop))
+			}
+		}
+		if len(res.Relays) == 0 {
+			// Baseline: the source's sessions are the receivers' own.
+			out.SourceDataSent += c.DataSent
+		}
+		out.Agg.add(*c)
+	}
+	return out
 }
 
-// fanoutStripeOut is one stripe session's raw outcome, recorded by the
-// stripe's own process.
-type fanoutStripeOut struct {
-	res        core.RecvResult
-	rst        core.ResumeStats
-	err        error
-	start, end time.Duration
-}
-
-// Run executes the scenario once: one kernel, one source server, Relays
-// relay servers (each a cut-through board fed by its own uplink pull), and
-// N receivers each pulling every stripe. Deterministic — same seed, same
-// bits — at any worker count.
+// Run executes the scenario once on a fresh kernel. Deterministic — same
+// seed, same bits — at any worker count.
 func (sc FanoutScenario) Run() (FanoutResult, error) {
-	sc = sc.withFanoutDefaults()
-	parts := sc.fanoutParts()
-	treed := sc.Relays > 0
-	k := sim.NewKernel()
-	n, err := sim.NewNetwork(k, sc.Cost, params.LossModel{}, sc.Seed)
+	if sc.Cost.BandwidthBitsPerSec == 0 {
+		sc.Cost = params.ModernGigabit()
+	}
+	n, err := sim.NewNetwork(sim.NewKernel(), sc.Cost, params.LossModel{}, sc.Seed)
 	if err != nil {
 		return FanoutResult{}, err
 	}
-
-	// Virtual idle only delays the free virtual clock at the end; it must
-	// outlive arrivals plus service so no server quits early.
-	idle := sc.DrainAt + 10*time.Minute
-	for _, a := range sc.Arrivals {
-		idle += a
-	}
-	stats := make(map[uint32]session.TransferStats)
-	record := func(ts session.TransferStats) { stats[ts.TransferID] = ts }
-
-	srcSt := n.AddStation("source")
-	srcSrv := &session.Server{
-		Concurrency: sc.Concurrency,
-		Idle:        idle,
-		RetryAfter:  sc.RetryAfter,
-		Source:      seededReqSource,
-		Done:        record,
-	}
-	srvErrs := make([]error, 1+len(parts))
-	sim.Serve(n, srcSt, func(l *sim.Listener) { srvErrs[0] = srcSrv.Run(l) })
-
-	// Relay plumbing: serving station + board per stripe, then the uplink
-	// stations, then the receivers' stripe stations — all created in a
-	// fixed order before any process runs.
-	var boards []*session.Board
-	var relaySrvs []*session.Server
-	var relaySts []*sim.Station
-	if treed {
-		boards = make([]*session.Board, len(parts))
-		relaySrvs = make([]*session.Server, len(parts))
-		relaySts = make([]*sim.Station, len(parts))
-		for ki := range parts {
-			ki := ki
-			boards[ki] = session.NewBoardAt(parts[ki].Offset, parts[ki].Bytes, sc.Chunk, true)
-			relaySts[ki] = n.AddStation(fmt.Sprintf("relay%d", ki))
-			srv := &session.Server{
-				Concurrency: sc.Concurrency,
-				Idle:        idle,
-				RetryAfter:  sc.RetryAfter,
-				SourceEnv:   boards[ki].SourceReq,
-				Done:        record,
-			}
-			relaySrvs[ki] = srv
-			sim.Serve(n, relaySts[ki], func(l *sim.Listener) { srvErrs[1+ki] = srv.Run(l) })
-		}
-	}
-
-	relayRes := make([]FanoutRelayResult, 0, len(parts))
-	if treed {
-		relayRes = make([]FanoutRelayResult, len(parts))
-		for ki := range parts {
-			ki, st := ki, parts[ki]
-			ust := n.AddStation(fmt.Sprintf("relay%d-up", ki))
-			k.Go(fmt.Sprintf("relay%d-up", ki), func(p *sim.Proc) {
-				ep := sim.NewEndpoint(p, ust, srcSt)
-				rr := &relayRes[ki]
-				rr.Relay, rr.Stripe = ki, st
-				cfg := core.Config{
-					TransferID:     session.FanoutRelayID(ki),
-					Bytes:          st.Bytes,
-					ChunkSize:      sc.Chunk,
-					Protocol:       core.Blast,
-					Strategy:       core.GoBackN,
-					Window:         sc.Window,
-					Controller:     sc.Controller,
-					RetransTimeout: sc.Tr,
-					StripeOffset:   st.Offset,
-					StripeTotal:    sc.Bytes,
-					Sink:           boards[ki].Sink(),
-				}
-				res, rst, err := core.PullResume(ep, cfg, core.ResumeOptions{
-					MaxResumes:   sc.MaxResumes,
-					MaxBusyWaits: sc.MaxBusyWaits,
-					Backoff:      sc.Backoff,
-					Seed:         sc.Seed + 7000 + int64(ki),
-				})
-				rr.Resume = rst
-				if err != nil {
-					rr.Err = err.Error()
-					// Children unblock and recover through their own resume
-					// budgets instead of deadlocking on a dead board.
-					boards[ki].Fail(err)
-					return
-				}
-				rr.Completed = res.Completed
-				rr.Counts = recvCounts(res)
-			})
-		}
-	}
-
-	arrival := func(i int) time.Duration {
-		if i < len(sc.Arrivals) {
-			return sc.Arrivals[i]
-		}
-		return 0
-	}
-	outs := make([][]fanoutStripeOut, sc.N)
-	bufs := make([][]byte, sc.N)
-	for i := 0; i < sc.N; i++ {
-		outs[i] = make([]fanoutStripeOut, len(parts))
-		bufs[i] = make([]byte, sc.Bytes)
-	}
-	for i := 0; i < sc.N; i++ {
-		for ki := range parts {
-			i, ki, st := i, ki, parts[ki]
-			cst := n.AddStation(fmt.Sprintf("recv%d-%d", i, ki))
-			target := srcSt
-			if treed {
-				target = relaySts[ki]
-			}
-			k.Go(fmt.Sprintf("recv%d-%d", i, ki), func(p *sim.Proc) {
-				ep := sim.NewEndpoint(p, cst, target)
-				if a := arrival(i); a > 0 {
-					ep.SleepFor(a)
-				}
-				o := &outs[i][ki]
-				cfg := core.Config{
-					TransferID:     session.FanoutReceiverID(i, ki),
-					Bytes:          st.Bytes,
-					ChunkSize:      sc.Chunk,
-					Protocol:       core.Blast,
-					Strategy:       core.GoBackN,
-					Window:         sc.Window,
-					Controller:     sc.Controller,
-					RetransTimeout: sc.Tr,
-					Sink: func(off int, b []byte) {
-						copy(bufs[i][st.Offset+off:], b)
-					},
-				}
-				if treed {
-					cfg.StripeOffset = st.Offset
-					cfg.StripeTotal = sc.Bytes
-				}
-				o.start = p.Now()
-				o.res, o.rst, o.err = core.PullResume(ep, cfg, core.ResumeOptions{
-					MaxResumes:   sc.MaxResumes,
-					MaxBusyWaits: sc.MaxBusyWaits,
-					Backoff:      sc.Backoff,
-					Seed:         sc.Seed + int64(i*session.FanoutStripeStride+ki),
-				})
-				o.end = p.Now()
-			})
-		}
-	}
-
-	if sc.DrainAt > 0 {
-		k.After(sc.DrainAt, func() {
-			srcSrv.BeginDrain()
-			for _, s := range relaySrvs {
-				s.BeginDrain()
-			}
-		})
-	}
-
-	if err := k.Run(); err != nil {
+	spec := sc.FanoutSpec.WithDefaults()
+	spec.KeepData = true
+	res, err := session.RunFanout(&sim.Host{Net: n}, spec)
+	if err != nil {
 		return FanoutResult{}, fmt.Errorf("simrun: fanout %s: %w", sc.Name, err)
 	}
-	for i, e := range srvErrs {
-		if e != nil {
-			return FanoutResult{}, fmt.Errorf("simrun: fanout %s server %d: %w", sc.Name, i, e)
-		}
-	}
-
-	expected := core.SeededPayload(int64(sc.Bytes), sc.Bytes, sc.Chunk)
-	out := FanoutResult{
-		Receivers: make([]FanoutReceiverResult, sc.N),
-		Relays:    relayRes,
-	}
-	for ki := range relayRes {
-		rr := &relayRes[ki]
-		if ts, ok := stats[session.FanoutRelayID(ki)]; ok {
-			rr.Counts.DataSent += ts.Packets
-			rr.Counts.Retransmits += ts.Retransmits
-		}
-		out.SourceDataSent += rr.Counts.DataSent
-	}
-	var first, last time.Duration = -1, 0
-	for i := range out.Receivers {
-		r := &out.Receivers[i]
-		r.Receiver, r.Arrival = i, arrival(i)
-		r.Completed = true
-		r.Start = -1
-		for ki := range parts {
-			o := &outs[i][ki]
-			if r.Start < 0 || o.start < r.Start {
-				r.Start = o.start
-			}
-			if o.end > r.End {
-				r.End = o.end
-			}
-			addResume(&r.Resume, o.rst)
-			if o.err != nil {
-				r.Completed = false
-				if r.Err == "" {
-					r.Err = o.err.Error()
-				}
-				var busy *core.BusyError
-				if errors.As(o.err, &busy) {
-					r.Busy = true
-					r.RetryAfter = busy.RetryAfter
-				}
-				continue
-			}
-			if !o.res.Completed {
-				r.Completed = false
-			}
-			c := recvCounts(o.res)
-			r.Counts.DataRecv += c.DataRecv
-			r.Counts.Duplicates += c.Duplicates
-			r.Counts.AcksOut += c.AcksOut
-			r.Counts.NaksOut += c.NaksOut
-			if ts, ok := stats[session.FanoutReceiverID(i, ki)]; ok {
-				r.Counts.DataSent += ts.Packets
-				r.Counts.Retransmits += ts.Retransmits
-			}
-		}
-		r.Elapsed = r.End - r.Start
-		r.Data = bufs[i]
-		r.ChecksumOK = r.Completed && bytes.Equal(bufs[i], expected)
-		if !treed {
-			// Baseline: the source's sessions are the receivers' own.
-			out.SourceDataSent += r.Counts.DataSent
-		}
-		if r.Completed && r.ChecksumOK {
-			out.Completed++
-			out.AggBytes += int64(sc.Bytes)
-			if first < 0 || r.Start < first {
-				first = r.Start
-			}
-			if r.End > last {
-				last = r.End
-			}
-		}
-		out.Agg.DataSent += r.Counts.DataSent
-		out.Agg.Retransmits += r.Counts.Retransmits
-		out.Agg.DataRecv += r.Counts.DataRecv
-		out.Agg.Duplicates += r.Counts.Duplicates
-		out.Agg.AcksOut += r.Counts.AcksOut
-		out.Agg.NaksOut += r.Counts.NaksOut
-	}
-	if first < 0 {
-		first = 0
-	}
-	out.Makespan = last - first
-	out.SourceTxBytes = srcSt.Counters.TxBytes
+	out := projectFanout(res, spec.Bytes)
+	// RunFanout serves the source first: it is the network's first station.
+	out.SourceTxBytes = n.Stations()[0].Counters.TxBytes
 	return out, nil
 }
 
@@ -496,7 +164,10 @@ func (r BroadcastResult) AggMBps() float64 {
 // acks: this is the physical floor a relay tree is compared against, not a
 // usable protocol on its own.
 func (sc FanoutScenario) RunBroadcast() (BroadcastResult, error) {
-	sc = sc.withFanoutDefaults()
+	if sc.Cost.BandwidthBitsPerSec == 0 {
+		sc.Cost = params.ModernGigabit()
+	}
+	sc.FanoutSpec = sc.FanoutSpec.WithDefaults()
 	k := sim.NewKernel()
 	n, err := sim.NewNetwork(k, sc.Cost, params.LossModel{}, sc.Seed)
 	if err != nil {

@@ -3,8 +3,6 @@ package simrun
 import (
 	"bytes"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,8 +13,8 @@ import (
 
 // Fan-out conformance: the 1-source → 4-relay → 8-receiver stripe tree runs
 // once on the discrete-event simulator and once over real UDP loopback,
-// through the same session layer (boards, stripe REQs, PullResume) on both
-// substrates. Per-receiver and per-relay protocol counters and the
+// through the one runner (session.RunFanout: boards, stripe REQs,
+// PullResume) on a sim.Host and a udplan.Host. Per-receiver and per-relay protocol counters and the
 // receivers' assembled payloads must be identical. The network is clean and
 // timeouts generous on both sides, so every counter is purely data-driven —
 // any divergence is a protocol-layer bug, not scheduling noise.
@@ -31,13 +29,15 @@ const (
 
 func fanConfScenario() FanoutScenario {
 	return FanoutScenario{
-		Name:   "fanout-conformance",
-		N:      fanConfN,
-		Relays: fanConfRelays,
-		Bytes:  fanConfBytes,
-		Chunk:  fanConfChunk,
-		Tr:     fanConfTr,
-		Seed:   5,
+		Name: "fanout-conformance",
+		FanoutSpec: session.FanoutSpec{
+			N:      fanConfN,
+			Relays: fanConfRelays,
+			Bytes:  fanConfBytes,
+			Chunk:  fanConfChunk,
+			Tr:     fanConfTr,
+			Seed:   5,
+		},
 	}
 }
 
@@ -48,6 +48,17 @@ type fanConfOutcome struct {
 	Data      []byte
 }
 
+// fanConfOutcomes reduces a projected run to its cross-substrate outcomes.
+func fanConfOutcomes(res FanoutResult) (recv, relays []fanConfOutcome) {
+	for i, r := range res.Receivers {
+		recv = append(recv, fanConfOutcome{Counts: res.ReceiverCounts[i], Completed: r.Intact, Data: r.Data})
+	}
+	for ki, rr := range res.Relays {
+		relays = append(relays, fanConfOutcome{Counts: res.RelayCounts[ki], Completed: rr.Err == nil && rr.Recv.Completed})
+	}
+	return recv, relays
+}
+
 // runFanoutConformanceSim runs the tree on the simulator.
 func runFanoutConformanceSim(t *testing.T) (recv, relays []fanConfOutcome) {
 	t.Helper()
@@ -55,97 +66,32 @@ func runFanoutConformanceSim(t *testing.T) (recv, relays []fanConfOutcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Receivers {
-		recv = append(recv, fanConfOutcome{Counts: r.Counts, Completed: r.Completed && r.ChecksumOK, Data: r.Data})
-	}
-	for _, rr := range res.Relays {
-		relays = append(relays, fanConfOutcome{Counts: rr.Counts, Completed: rr.Completed})
-	}
-	return recv, relays
+	return fanConfOutcomes(res)
 }
 
-// runFanoutConformanceUDP runs the same tree over UDP loopback: the source
-// is an ordinary sharded daemon streaming the seeded object, the relays and
-// receivers are udplan.RunFanout's.
+// runFanoutConformanceUDP runs the same tree, through the same runner and
+// the same Counts projection, on a UDP loopback host.
 func runFanoutConformanceUDP(t *testing.T, batch int) (recv, relays []fanConfOutcome) {
 	t.Helper()
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no UDP loopback: %v", err)
-	}
-	defer conn.Close()
-	udplan.SetConnBuffers(conn, 4<<20)
-	stats := make(map[uint32]session.TransferStats)
-	var mu sync.Mutex
-	record := func(ts session.TransferStats) {
-		mu.Lock()
-		stats[ts.TransferID] = ts
-		mu.Unlock()
-	}
-	srv := udplan.NewServer(conn)
-	srv.Batch = batch
-	srv.Concurrency = fanConfRelays + 2
-	srv.Source = seededReqSource
-	srv.Done = record
-	srvDone := make(chan error, 1)
-	go func() { srvDone <- srv.Run() }()
-
-	res, err := udplan.RunFanout(conn.LocalAddr().String(), udplan.FanoutOptions{
-		N:        fanConfN,
-		Relays:   fanConfRelays,
-		Bytes:    fanConfBytes,
-		Chunk:    fanConfChunk,
-		Tr:       fanConfTr,
-		Batch:    batch,
-		Seed:     5,
-		KeepData: true,
-		Done:     record,
-	})
+	spec := fanConfScenario().FanoutSpec
+	spec.KeepData = true
+	res, err := session.RunFanout(&udplan.Host{Batch: batch}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
-	if err := <-srvDone; err != nil {
-		t.Fatalf("udp source server: %v", err)
-	}
-
-	join := func(id uint32, recvRes core.RecvResult) Counts {
-		c := recvCounts(recvRes)
-		mu.Lock()
-		if ts, ok := stats[id]; ok {
-			c.DataSent += ts.Packets
-			c.Retransmits += ts.Retransmits
-		}
-		mu.Unlock()
-		return c
-	}
-	for i := range res.Receivers {
-		r := &res.Receivers[i]
-		var c Counts
-		ok := r.Completed
-		for ki := range r.Stripes {
-			so := &r.Stripes[ki]
-			if so.Err != nil {
-				t.Fatalf("udp receiver %d stripe %d: %v", i, ki, so.Err)
+	for i, r := range res.Receivers {
+		for ki, hop := range r.Stripes {
+			if hop.Err != nil {
+				t.Fatalf("udp receiver %d stripe %d: %v", i, ki, hop.Err)
 			}
-			sc := join(so.ID, so.Recv)
-			c.DataSent += sc.DataSent
-			c.Retransmits += sc.Retransmits
-			c.DataRecv += sc.DataRecv
-			c.Duplicates += sc.Duplicates
-			c.AcksOut += sc.AcksOut
-			c.NaksOut += sc.NaksOut
 		}
-		recv = append(recv, fanConfOutcome{Counts: c, Completed: ok, Data: r.Data})
 	}
-	for ki := range res.Relays {
-		rr := &res.Relays[ki]
-		if rr.Err != nil {
-			t.Fatalf("udp relay %d uplink: %v", ki, rr.Err)
+	for ki, hop := range res.Relays {
+		if hop.Err != nil {
+			t.Fatalf("udp relay %d uplink: %v", ki, hop.Err)
 		}
-		relays = append(relays, fanConfOutcome{Counts: join(rr.ID, rr.Recv), Completed: rr.Recv.Completed})
 	}
-	return recv, relays
+	return fanConfOutcomes(projectFanout(res, fanConfBytes))
 }
 
 // TestFanoutConformance is the acceptance pin: the 1→8 stripe-relay tree
@@ -198,5 +144,25 @@ func TestFanoutConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFanoutStrideGuard pins the transfer-ID plan's bounds on both hosts: a
+// tree with more stripes than FanoutStripeStride, or with so many receivers
+// that their IDs run into the relays', would hand two sessions the same ID
+// and silently mis-join their sender-side counters, so it must be refused
+// before anything runs.
+func TestFanoutStrideGuard(t *testing.T) {
+	for _, spec := range []session.FanoutSpec{
+		{Relays: session.FanoutStripeStride + 1},
+		{N: 51, Relays: 1},
+	} {
+		sc := FanoutScenario{Name: "fanout-stride", FanoutSpec: spec}
+		if _, err := sc.Run(); err == nil {
+			t.Errorf("DES host ran a colliding ID plan (N %d, relays %d)", spec.N, spec.Relays)
+		}
+		if _, err := session.RunFanout(&udplan.Host{}, spec); err == nil {
+			t.Errorf("UDP host ran a colliding ID plan (N %d, relays %d)", spec.N, spec.Relays)
+		}
 	}
 }

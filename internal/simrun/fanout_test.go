@@ -2,20 +2,20 @@ package simrun
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
+
+	"blastlan/internal/core"
+	"blastlan/internal/session"
 )
 
 // fanoutTestScenario is the small, fast tree used across the fan-out tests:
 // 1 source → 4 stripe relays → 8 receivers, 64 chunks.
 func fanoutTestScenario() FanoutScenario {
 	return FanoutScenario{
-		Name:   "fanout-test",
-		N:      8,
-		Relays: 4,
-		Bytes:  64000,
-		Chunk:  1000,
-		Seed:   42,
+		Name:       "fanout-test",
+		FanoutSpec: session.FanoutSpec{N: 8, Relays: 4, Bytes: 64000, Chunk: 1000, Seed: 42},
 	}
 }
 
@@ -25,20 +25,20 @@ func TestFanoutTreeDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != sc.N {
-		t.Fatalf("completed %d/%d receivers", res.Completed, sc.N)
+	if res.Intact != sc.N {
+		t.Fatalf("completed %d/%d receivers", res.Intact, sc.N)
 	}
 	for i, r := range res.Receivers {
-		if !r.ChecksumOK {
+		if !r.Intact {
 			t.Errorf("receiver %d assembled a corrupt object", i)
 		}
-		if r.Counts.DataRecv < 64 {
-			t.Errorf("receiver %d saw %d data packets, want >= 64", i, r.Counts.DataRecv)
+		if c := res.ReceiverCounts[i]; c.DataRecv < 64 {
+			t.Errorf("receiver %d saw %d data packets, want >= 64", i, c.DataRecv)
 		}
 	}
 	for ki, rr := range res.Relays {
-		if !rr.Completed {
-			t.Errorf("relay %d uplink incomplete: %s", ki, rr.Err)
+		if rr.Err != nil || !rr.Recv.Completed {
+			t.Errorf("relay %d uplink incomplete: %v", ki, rr.Err)
 		}
 	}
 	// The headline: the source transmitted the object once — each stripe
@@ -54,8 +54,8 @@ func TestFanoutTreeDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bres.Completed != sc.N {
-		t.Fatalf("baseline completed %d/%d receivers", bres.Completed, sc.N)
+	if bres.Intact != sc.N {
+		t.Fatalf("baseline completed %d/%d receivers", bres.Intact, sc.N)
 	}
 	if bres.SourceDataSent != 64*sc.N {
 		t.Errorf("baseline source sent %d data packets, want %d (Nx)", bres.SourceDataSent, 64*sc.N)
@@ -78,15 +78,16 @@ func TestFanoutDeterministic(t *testing.T) {
 	}
 	for i := range a.Receivers {
 		ra, rb := a.Receivers[i], b.Receivers[i]
-		if ra.Counts != rb.Counts || ra.Start != rb.Start || ra.End != rb.End {
-			t.Errorf("receiver %d diverges between identical runs:\n%+v\n%+v", i, ra, rb)
+		if a.ReceiverCounts[i] != b.ReceiverCounts[i] || ra.Start != rb.Start || ra.End != rb.End {
+			t.Errorf("receiver %d diverges between identical runs:\n%+v %+v\n%+v %+v",
+				i, a.ReceiverCounts[i], ra, b.ReceiverCounts[i], rb)
 		}
 		if !bytes.Equal(ra.Data, rb.Data) {
 			t.Errorf("receiver %d payload diverges between identical runs", i)
 		}
 	}
 	for ki := range a.Relays {
-		if a.Relays[ki].Counts != b.Relays[ki].Counts {
+		if a.RelayCounts[ki] != b.RelayCounts[ki] {
 			t.Errorf("relay %d diverges between identical runs", ki)
 		}
 	}
@@ -103,8 +104,7 @@ func TestFanoutDrainRace(t *testing.T) {
 	// here: a blast monopolizes the CSMA medium and starves latecomer REQs
 	// outright — the paper's own observation — so no BUSY ever reaches
 	// them.)
-	sc := FanoutScenario{
-		Name:         "fanout-drain",
+	sc := FanoutScenario{Name: "fanout-drain", FanoutSpec: session.FanoutSpec{
 		N:            9,
 		Relays:       4,
 		Bytes:        512 << 10,
@@ -118,29 +118,30 @@ func TestFanoutDrainRace(t *testing.T) {
 		},
 		DrainAt: 5 * time.Millisecond,
 		Seed:    7,
-	}
+	}}
 	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 8 {
-		t.Fatalf("completed %d receivers, want the 8 in-flight ones", res.Completed)
+	if res.Intact != 8 {
+		t.Fatalf("completed %d receivers, want the 8 in-flight ones", res.Intact)
 	}
 	for i := 0; i < 8; i++ {
 		r := res.Receivers[i]
-		if !r.Completed || !r.ChecksumOK {
-			t.Errorf("in-flight receiver %d did not complete intact: %s", i, r.Err)
+		if !r.Completed || !r.Intact {
+			t.Errorf("in-flight receiver %d did not complete intact: %v", i, r.Err)
 		}
 	}
 	late := res.Receivers[8]
 	if late.Completed {
 		t.Fatal("latecomer completed against a draining tree")
 	}
-	if !late.Busy {
-		t.Fatalf("latecomer error is not a BUSY refusal: %s", late.Err)
+	var busy *core.BusyError
+	if !errors.As(late.Err, &busy) {
+		t.Fatalf("latecomer error is not a BUSY refusal: %v", late.Err)
 	}
-	if late.RetryAfter <= 0 {
-		t.Errorf("latecomer BUSY carried no RETRY-AFTER hint (%v)", late.RetryAfter)
+	if busy.RetryAfter <= 0 {
+		t.Errorf("latecomer BUSY carried no RETRY-AFTER hint (%v)", busy.RetryAfter)
 	}
 }
 

@@ -275,12 +275,7 @@ func (sc LoadScenario) Run() (LoadResult, error) {
 			r.Completed = res.Completed
 			r.ChecksumOK = res.Completed &&
 				res.Checksum == core.TransferChecksum(core.SeededPayload(int64(s.bytes), s.bytes, sc.Chunk))
-			r.Counts = Counts{
-				DataRecv:   res.DataPackets - res.LingerEvents,
-				Duplicates: res.Duplicates - res.LingerEvents,
-				AcksOut:    res.AcksSent - res.LingerAcks,
-				NaksOut:    res.NaksSent - res.LingerNaks,
-			}
+			r.Counts = recvCounts(res)
 			return nil
 		})
 	})
@@ -306,12 +301,7 @@ func (sc LoadScenario) Run() (LoadResult, error) {
 		if r.End > last {
 			last = r.End
 		}
-		out.Agg.DataSent += r.Counts.DataSent
-		out.Agg.Retransmits += r.Counts.Retransmits
-		out.Agg.DataRecv += r.Counts.DataRecv
-		out.Agg.Duplicates += r.Counts.Duplicates
-		out.Agg.AcksOut += r.Counts.AcksOut
-		out.Agg.NaksOut += r.Counts.NaksOut
+		out.Agg.add(r.Counts)
 		if r.Completed && r.ChecksumOK {
 			out.Completed++
 			out.AggBytes += int64(r.Bytes)

@@ -15,7 +15,8 @@
 // The protocol engines themselves still run against core.Env; this package
 // adds only what a daemon needs beyond a single two-party conversation:
 // demultiplexed arrivals (Listener), per-session delivery and concurrency
-// (Conn), and client-side fan-out (Fabric, Client).
+// (Conn), client-side fan-out (Fabric, Client), and whole multi-node
+// scenarios (Host).
 package transport
 
 import (
@@ -150,3 +151,49 @@ func (c failedClient) SendAsync(*wire.Packet) error             { return c.err }
 func (c failedClient) Recv(time.Duration) (*wire.Packet, error) { return nil, c.err }
 func (c failedClient) Close() error                             { return nil }
 func (c failedClient) Abort()                                   {}
+
+// Service is what a Host serves on a node: session.Server satisfies it.
+type Service interface {
+	Run(Listener) error
+}
+
+// Host is the substrate seam a multi-node scenario — a relay tree, say — is
+// written against, so one runner (session.RunFanout) drives every
+// substrate. It offers only what such a runner needs: serve a Service on a
+// fresh node, spawn client bodies dialed to a node, run to completion, and
+// keep the time. internal/udplan implements it with loopback sockets and
+// goroutines, internal/sim with stations and kernel processes.
+//
+// A runner calls Serve, Spawn and After to lay the scenario out, then Run
+// once. Substrates that schedule deterministically (the simulator) create
+// nodes and processes in call order, so the runner's call order is part of
+// its result.
+type Host interface {
+	// Serve runs svc on a fresh node until Run stops it, and returns the
+	// node's address for Spawn.
+	Serve(name string, svc Service) (Peer, error)
+
+	// Spawn runs body in its own thread of control, after a delay of
+	// clock time, with a client env dialed to node. redial, when non-nil,
+	// replaces env with a fresh conn to the same node (see
+	// core.ResumeOptions.Redial); substrates whose conns outlive a failed
+	// session pass nil. A conn that cannot be dialed reaches the body as a
+	// FailedClient, so the failure takes the body's normal error path.
+	Spawn(name string, node Peer, delay time.Duration,
+		body func(env core.Env, redial func() (core.Env, error)))
+
+	// After calls fn once d of clock time has passed.
+	After(d time.Duration, fn func())
+
+	// Run blocks until every spawned body has returned, stops the servers
+	// and reports the first error a server's Run returned.
+	Run() error
+
+	// Now reads the host's clock, shared by every node and body.
+	Now() time.Duration
+
+	// Virtual reports whether the clock is virtual: a body or session that
+	// waits on another must then poll by spending clock time (Compute)
+	// rather than block its OS thread.
+	Virtual() bool
+}

@@ -60,6 +60,10 @@ func newServerListener(conn net.PacketConn, batch, mtu int, maxTier Tier) *serve
 	return l
 }
 
+// ValidateConfig rejects transfers whose packets overflow the socket's
+// datagrams (session.Server.Run consults it when no Validate hook is set).
+func (l *serverListener) ValidateConfig(c core.Config) error { return validateConfigMTU(c, l.mtu) }
+
 // Accept returns the next datagram on the socket: a batch-drained one if
 // pending, otherwise one blocking read followed (when batching) by an
 // opportunistic recvmmsg drain of everything else already queued in the

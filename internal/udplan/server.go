@@ -29,9 +29,9 @@ import (
 // stripe-range resolution, graceful drain) is shared with the simulator
 // substrate; only the socket/syscall specifics live here.
 type Server struct {
-	// The shared serving machinery and its handler hooks: Data, Source,
-	// Sink, SinkStream, Idle, Concurrency, Logf, Done, BeginDrain, Served —
-	// see session.Server.
+	// The shared serving machinery and its handler hooks: Source, Sink,
+	// SinkStream, Idle, Concurrency, Logf, Done, BeginDrain, Served — see
+	// session.Server.
 	session.Server
 
 	// Batch enables batched syscall I/O (tiered frame rings per session,
@@ -106,9 +106,6 @@ func (s *Server) Tier() Tier {
 // session in flight). It returns nil on a clean close.
 func (s *Server) Run() error {
 	mtu := s.mtu()
-	if s.Validate == nil {
-		s.Validate = func(c core.Config) error { return validateConfigMTU(c, mtu) }
-	}
 	if len(s.conns) > 1 {
 		ls := make([]transport.Listener, len(s.conns))
 		for i, conn := range s.conns {

@@ -77,10 +77,10 @@ type StripeOutcome = session.StripeOutcome
 type StripedResult = session.StripedResult
 
 // PullStriped requests the logical transfer cfg describes (Bytes, ChunkSize,
-// Protocol, Strategy, Window, Adaptive, timeouts) from the daemon at addr as
+// Protocol, Strategy, Window, Controller, timeouts) from the daemon at addr as
 // opts.Streams concurrent stripe sessions and reassembles the result. The
 // server must resolve each stripe's REQ against the logical stream (see
-// wire.Req.Offset); the sharded Server does this whenever its Source/Data
+// wire.Req.Offset); the sharded Server does this whenever its Source
 // handler honours the request's stripe fields. cfg.Sink and cfg.Payload are
 // ignored — delivery goes through opts.Sink. If one stripe fails its
 // siblings are cancelled promptly (their sockets close under them) and the

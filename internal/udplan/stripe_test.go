@@ -134,8 +134,8 @@ func TestStripedPullUnderAdversary(t *testing.T) {
 	}
 }
 
-// Adaptive striped pull: the REQ's adaptive bit makes the serving side run
-// the AIMD controller; the transfer must still reassemble byte-identically,
+// Adaptive striped pull: the REQ's aimd policy byte makes the serving side
+// run the AIMD controller; the transfer must still reassemble byte-identically,
 // with loss on every stripe.
 func TestStripedPullAdaptive(t *testing.T) {
 	const total = 1 << 20
@@ -143,7 +143,7 @@ func TestStripedPullAdaptive(t *testing.T) {
 	want := core.SeededPayload(int64(total), total, 1000)
 	out := make([]byte, total)
 	cfg := logicalCfg(total)
-	cfg.Adaptive = true
+	cfg.Controller = core.ControllerAIMD
 	res, err := PullStriped(addr, cfg, StripeOptions{
 		Streams:       4,
 		Batch:         8,
@@ -171,7 +171,7 @@ func TestAdaptiveSenderControllerOverUDP(t *testing.T) {
 	ea.PacketGap = 5 * time.Microsecond // user-configured pacing: must survive
 	payload := randomPayload(256<<10, 5)
 	cfg := loopCfg(9, payload, core.Blast, core.GoBackN)
-	cfg.Adaptive = true
+	cfg.Controller = core.ControllerAIMD
 	cfg.Window = 32
 	// Drop a handful of identified first transmissions: NAK-driven
 	// recovery, deterministic on any substrate.

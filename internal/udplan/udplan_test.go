@@ -57,6 +57,21 @@ func randomPayload(n int, seed int64) []byte {
 	return b
 }
 
+// payloadSource serves payload as a server Source: each chunk is a view of
+// the slice. A request for any other size is refused.
+func payloadSource(payload []byte) func(wire.Req) (core.ChunkSource, bool) {
+	return func(r wire.Req) (core.ChunkSource, bool) {
+		if int(r.Bytes) != len(payload) || r.Chunk == 0 {
+			return nil, false
+		}
+		chunk := int(r.Chunk)
+		return func(seq int, _ []byte) []byte {
+			lo := seq * chunk
+			return payload[lo:min(lo+chunk, len(payload))]
+		}, true
+	}
+}
+
 // quick transfer config over loopback: tight timeouts, bounded attempts,
 // so failures surface fast.
 func loopCfg(id uint32, payload []byte, p core.Protocol, s core.Strategy) core.Config {
@@ -77,7 +92,7 @@ func loopCfg(id uint32, payload []byte, p core.Protocol, s core.Strategy) core.C
 func TestPullOverLoopback(t *testing.T) {
 	payload := randomPayload(64*1024, 1)
 	srv, addr := newLoopbackServer(t)
-	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	srv.Source = payloadSource(payload)
 	done := make(chan error, 1)
 	go func() { done <- srv.Run() }()
 
@@ -199,7 +214,7 @@ func TestRecoveryUnderInjectedLoss(t *testing.T) {
 func TestServerServesSequentially(t *testing.T) {
 	payload := randomPayload(4*1024, 5)
 	srv, addr := newLoopbackServer(t)
-	srv.Data = func(r wire.Req) ([]byte, bool) { return payload, true }
+	srv.Source = payloadSource(payload)
 	notify, waitDone := doneSignal(t)
 	srv.Done = func(TransferStats) { notify() }
 	go srv.Run()
@@ -230,7 +245,7 @@ func TestServerServesSequentially(t *testing.T) {
 // gives up cleanly rather than hanging.
 func TestServerRejectsUnknown(t *testing.T) {
 	srv, addr := newLoopbackServer(t)
-	srv.Data = func(r wire.Req) ([]byte, bool) { return nil, false }
+	srv.Source = func(wire.Req) (core.ChunkSource, bool) { return nil, false }
 	srv.Idle = 2 * time.Second
 	go srv.Run()
 
