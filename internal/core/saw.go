@@ -142,7 +142,7 @@ func deliverChunk(res *RecvResult, c Config, pkt *wire.Packet) {
 		off := int(pkt.Seq) * c.ChunkSize
 		if c.Sink != nil {
 			res.usedSink = true
-			res.sinkSum.AddAt(off, pkt.Payload)
+			res.sinkSum.AddPayloadAt(off, pkt)
 			c.Sink(off, pkt.Payload)
 			res.Bytes += len(pkt.Payload)
 			return

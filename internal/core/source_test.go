@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"testing"
 	"time"
@@ -79,6 +81,40 @@ func TestSeededSourceDeterministic(t *testing.T) {
 	// A different seed yields different bytes.
 	if bytes.Equal(whole, SeededPayload(seed+1, size, chunk)) {
 		t.Error("seeds do not differentiate the stream")
+	}
+}
+
+// TestSeededPayloadGolden pins the generator's bytes: the digests were
+// recorded from the one-word-per-iteration splitmix loop, so any change to
+// fillChunk's output (word order, tail handling, state stepping) fails here
+// even where the generator would still agree with itself. The chunk sizes
+// cover sub-word, odd and word-multiple chunks, and the byte counts leave
+// short tails.
+func TestSeededPayloadGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed         int64
+		bytes, chunk int
+		sha256       string
+	}{
+		{1, 1, 1, "cd0aa9856147b6c5b4ff2b7dfee5da20aa38253099ef1b4a64aced233c9afe29"},
+		{1, 20, 1, "cfb986a6e19ff98c620ad70a6c944185a980d61b91107d3c2981b0f683dee9e9"},
+		{-3, 50, 7, "0188fd4ddec37333452928829cea323f6c6d5eff1bed9c4c89b6f4bf1081a5b1"},
+		{42, 158, 31, "63834a1380e807a930ddfc579ef25db7367da456f2278a1c9ae684d45ae6824b"},
+		{42, 132, 33, "ba9fa4fa0a2a4fc2daf60231bff9ec6f9a4fb2cdc7399ff94659295317b0f445"},
+		{7, 104, 33, "2878446851376b17e7be1bf9dea3a63f5aff09ddc57a03194869aca04bea1729"},
+		{77, 10500, 1000, "b2acb35bc5e1ffdcfbd76627b34af7e6e440e7457ce4c7fe3af4f39f65689012"},
+		{5, 4001, 1000, "4172093496cc939353a77e235785e9fd600640ae848bd3a5785984e33da1b60e"},
+		{9, 8192, 1024, "fc910cbe59cf0110c856ec3dbfc600ff2e8a4e5ead8d62e2508246b4b3febb79"},
+		{9, 3078, 1024, "803513ccbdc68e9861db6119c1f5785d4c5bb5049c90ccece2a08b6f4816580a"},
+		{-1, 4536, 1512, "8cc323834b8c421b540ae917bcea8f0b83bdbf94d20c4e518fd44d156f0f2eee"},
+		{123456789, 4535, 1512, "8054cb7e10865ebb37b61df417791bd78253b6b5e9834d886fb83460b4c04c04"},
+		{0, 1519, 1512, "06eecea0afc193fb723e167a8e45d82c82398c29bf1febce8f328e0b24a123ab"},
+		{2, 6, 1000, "b221df88a93da503f035e1cba54c54e1822ab4a8e8e618fe050a4273a1e1e61f"},
+	} {
+		sum := sha256.Sum256(SeededPayload(c.seed, c.bytes, c.chunk))
+		if got := hex.EncodeToString(sum[:]); got != c.sha256 {
+			t.Errorf("SeededPayload(%d, %d, %d) sha256 %s, want %s", c.seed, c.bytes, c.chunk, got, c.sha256)
+		}
 	}
 }
 

@@ -67,15 +67,14 @@ func (l *serverListener) ValidateConfig(c core.Config) error { return validateCo
 // Accept returns the next datagram on the socket: a batch-drained one if
 // pending, otherwise one blocking read followed (when batching) by an
 // opportunistic recvmmsg drain of everything else already queued in the
-// kernel. The demux key is canonical and allocation-free.
+// kernel. The demux key is canonical and allocation-free. idle > 0 bounds
+// the blocking read; the deadline is armed only when the read is about to
+// block, so draining a batch costs no clock reads.
 func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
-	var deadline time.Time
-	if idle > 0 {
-		deadline = time.Now().Add(idle)
+	if idle <= 0 {
+		idle = -1 // Accept waits forever on any idle <= 0
 	}
-	if err := l.conn.SetReadDeadline(deadline); err != nil {
-		return transport.Inbound{}, err
-	}
+	armed := false
 	for {
 		var (
 			data, name []byte
@@ -84,6 +83,12 @@ func (l *serverListener) Accept(idle time.Duration) (transport.Inbound, error) {
 		if l.rx != nil && l.rx.pending() {
 			data, name = l.rx.pop()
 		} else {
+			if !armed {
+				if err := armReadDeadline(l.conn, idle); err != nil {
+					return transport.Inbound{}, err
+				}
+				armed = true
+			}
 			n, a, err := l.conn.ReadFrom(l.rbuf)
 			if err != nil {
 				return transport.Inbound{}, err
@@ -400,40 +405,37 @@ func (se *sessionEnv) recycle() {
 }
 
 // nextDgram waits for the demux loop's next datagram with core.Env timeout
-// semantics.
+// semantics: < 0 waits forever, 0 polls, > 0 bounds the wait. A datagram
+// already queued is taken without touching the timer, which is reset only
+// when the session must actually wait, so the bound counts from then.
 func (se *sessionEnv) nextDgram(timeout time.Duration) (dgram, error) {
-	if timeout < 0 {
-		d, ok := <-se.inbox
-		if !ok {
-			return dgram{}, net.ErrClosed
-		}
-		return d, nil
+	select {
+	case d, ok := <-se.inbox:
+		return inboxDgram(d, ok)
+	default:
 	}
 	if timeout == 0 {
-		select {
-		case d, ok := <-se.inbox:
-			if !ok {
-				return dgram{}, net.ErrClosed
-			}
-			return d, nil
-		default:
-			return dgram{}, os.ErrDeadlineExceeded
-		}
+		return dgram{}, os.ErrDeadlineExceeded
+	}
+	if timeout < 0 {
+		d, ok := <-se.inbox
+		return inboxDgram(d, ok)
 	}
 	se.timer.Reset(timeout)
 	select {
 	case d, ok := <-se.inbox:
-		if !se.timer.Stop() {
-			select {
-			case <-se.timer.C:
-			default:
-			}
-		}
-		if !ok {
-			return dgram{}, net.ErrClosed
-		}
-		return d, nil
+		se.timer.Stop() // Go 1.23+ timers: Reset discards a tick Stop missed
+		return inboxDgram(d, ok)
 	case <-se.timer.C:
 		return dgram{}, os.ErrDeadlineExceeded
 	}
+}
+
+// inboxDgram maps a receive from a session inbox to nextDgram's result: a
+// closed inbox means the server closed the session's socket.
+func inboxDgram(d dgram, ok bool) (dgram, error) {
+	if !ok {
+		return dgram{}, net.ErrClosed
+	}
+	return d, nil
 }

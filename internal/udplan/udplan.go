@@ -566,9 +566,14 @@ func (e *Endpoint) flushTx() error {
 func (e *Endpoint) SendAsync(p *wire.Packet) error { return e.Send(p) }
 
 // Recv returns the next valid packet, applying the MangleRx verdict to every
-// arrival. timeout < 0 waits forever. Malformed datagrams and (with
-// LockPeer) foreign sources are skipped. On expiry the error satisfies
-// errors.Is(err, os.ErrDeadlineExceeded).
+// arrival. timeout < 0 waits forever, 0 polls, and > 0 bounds the wait.
+// Malformed datagrams and (with LockPeer) foreign sources are skipped. On
+// expiry the error satisfies errors.Is(err, os.ErrDeadlineExceeded).
+//
+// The read deadline is armed only when Recv is about to block on the
+// socket, once per call: datagrams a batch drain already queued are
+// delivered without touching the clock or the deadline, so the timeout
+// counts from when blocking begins rather than from entry.
 func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 	// Anything queued for batch transmission is committed traffic: it must
 	// reach the wire before the endpoint waits for responses to it.
@@ -585,18 +590,18 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 			return nil, err
 		}
 	}
-	var deadline time.Time
-	if timeout >= 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if err := e.conn.SetReadDeadline(deadline); err != nil {
-		return nil, err
-	}
+	armed := false
 	for {
 		// Matured holds and injected duplicates deliver before the socket
 		// is read again.
 		if e.readyCount() > 0 {
 			return e.popReady(), nil
+		}
+		if !armed && (e.rx == nil || !e.rx.pending()) {
+			if err := armReadDeadline(e.conn, timeout); err != nil {
+				return nil, err
+			}
+			armed = true
 		}
 		data, addr, name, err := e.readDatagram()
 		if err != nil {
@@ -674,6 +679,17 @@ func (e *Endpoint) Recv(timeout time.Duration) (*wire.Packet, error) {
 		// every Env in this repository provides. No per-packet allocation.
 		return pkt, nil
 	}
+}
+
+// armReadDeadline sets conn's read deadline for a wait of timeout with
+// core.Env semantics, counted from now: < 0 waits forever, 0 polls (the
+// deadline is already due), > 0 bounds the wait.
+func armReadDeadline(conn net.PacketConn, timeout time.Duration) error {
+	var deadline time.Time
+	if timeout >= 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	return conn.SetReadDeadline(deadline)
 }
 
 // readDatagram returns the next raw datagram: a batch-drained one if

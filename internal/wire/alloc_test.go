@@ -1,6 +1,10 @@
 package wire
 
-import "testing"
+import (
+	"encoding/binary"
+	"errors"
+	"testing"
+)
 
 // TestCodecRoundTripAllocFree pins the codec hot path at zero allocations:
 // Encode into a capacity-sufficient reused buffer and DecodeInto a reused
@@ -27,24 +31,30 @@ func TestCodecRoundTripAllocFree(t *testing.T) {
 	}
 }
 
-// TestChecksumZeroedMatchesNaive cross-checks the single-pass
-// subtract-the-word rewrite against a naive masked recomputation.
-func TestChecksumZeroedMatchesNaive(t *testing.T) {
-	naive := func(b []byte, off int) uint16 {
-		masked := make([]byte, len(b))
-		copy(masked, b)
-		masked[off], masked[off+1] = 0, 0
-		return Checksum(masked)
-	}
+// TestDecodeVerifyMatchesNaive cross-checks the decoder's split verify
+// (header and payload summed separately, the checksum word subtracted)
+// against a naive recomputation over the frame with its checksum field
+// zeroed: a frame carrying the naive checksum must decode, and one carrying
+// a different value must not.
+func TestDecodeVerifyMatchesNaive(t *testing.T) {
 	for _, n := range []int{24, 25, 100, 1024, 1499} {
 		b := make([]byte, n)
 		for i := range b {
 			b[i] = byte(i*131 + 17)
 		}
-		for _, off := range []int{0, 2, 20, 22} {
-			if got, want := checksumZeroed(b, off), naive(b, off); got != want {
-				t.Fatalf("len=%d off=%d: got %04x want %04x", n, off, got, want)
-			}
+		binary.BigEndian.PutUint16(b[0:2], Magic)
+		b[2], b[3] = Version, uint8(TypeData)
+		binary.BigEndian.PutUint16(b[18:20], uint16(n-HeaderSize))
+		b[20], b[21] = 0, 0
+		want := Checksum(b)
+		binary.BigEndian.PutUint16(b[20:22], want)
+		var p Packet
+		if err := DecodeInto(&p, b); err != nil {
+			t.Fatalf("len=%d: frame with the naive checksum rejected: %v", n, err)
+		}
+		binary.BigEndian.PutUint16(b[20:22], want^0x0100)
+		if err := DecodeInto(&p, b); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("len=%d: wrong checksum decoded: %v", n, err)
 		}
 	}
 }

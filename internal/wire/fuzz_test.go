@@ -7,7 +7,9 @@ import (
 
 // FuzzDecode: arbitrary bytes must never panic the decoder, and anything
 // that decodes successfully must re-encode to a buffer that decodes to the
-// same packet (when it carries no trailing junk).
+// same packet (when it carries no trailing junk). The payload sum the
+// decode keeps must fold into a stream checksum exactly as a scan of the
+// payload would, at either offset parity.
 func FuzzDecode(f *testing.F) {
 	// Seed with valid packets of each type and classic corruptions.
 	for _, p := range []*Packet{
@@ -34,6 +36,14 @@ func FuzzDecode(f *testing.F) {
 		p, err := Decode(data)
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
+		}
+		for _, off := range []int{0, 1} {
+			var kept, scanned SumAcc
+			kept.AddPayloadAt(off, p)
+			scanned.AddAt(off, p.Payload)
+			if kept != scanned {
+				t.Fatalf("off=%d: AddPayloadAt %04x, AddAt %04x", off, kept.Sum16(), scanned.Sum16())
+			}
 		}
 		out, err := p.Encode(nil)
 		if err != nil {

@@ -19,8 +19,24 @@ type SumAcc struct {
 }
 
 // AddAt folds in one chunk of the stream located at byte offset off.
-func (a *SumAcc) AddAt(off int, b []byte) {
-	s := fold16(sumWords(b))
+func (a *SumAcc) AddAt(off int, b []byte) { a.addFolded(off, fold16(sumWords(b))) }
+
+// AddPayloadAt folds in p.Payload as the chunk at byte offset off. It is
+// AddAt(off, p.Payload), but for a packet DecodeInto produced it reuses the
+// payload sum the checksum verify already computed instead of scanning the
+// bytes again; other packets (built in memory, e.g. by the simulator) are
+// scanned.
+func (a *SumAcc) AddPayloadAt(off int, p *Packet) {
+	if p.paySum&paySumValid == 0 {
+		a.AddAt(off, p.Payload)
+		return
+	}
+	a.addFolded(off, uint16(p.paySum))
+}
+
+// addFolded accumulates a chunk's folded standalone sum s at stream offset
+// off.
+func (a *SumAcc) addFolded(off int, s uint16) {
 	if off&1 == 1 {
 		s = s<<8 | s>>8 // odd offset: every byte swaps word halves
 	}
@@ -42,13 +58,7 @@ func (a *SumAcc) Merge(b SumAcc) { a.sum += b.sum }
 // the stream's: un-complement back to the raw folded sum, swap bytes if the
 // range starts at an odd stream offset, accumulate. Each range must tile
 // the stream exactly once, like AddAt chunks.
-func (a *SumAcc) AddChecksumAt(off int, checksum uint16) {
-	s := ^checksum
-	if off&1 == 1 {
-		s = s<<8 | s>>8 // odd offset: every byte swaps word halves
-	}
-	a.sum += uint64(s)
-}
+func (a *SumAcc) AddChecksumAt(off int, checksum uint16) { a.addFolded(off, ^checksum) }
 
 // Sum16 returns the Internet checksum of the stream accumulated so far.
 func (a *SumAcc) Sum16() uint16 {

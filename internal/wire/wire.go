@@ -149,7 +149,19 @@ type Packet struct {
 	// SimMissing carries the decoded selective-NAK missing list for
 	// simulated packets whose payload bytes are elided. Never encoded.
 	SimMissing []uint32
+
+	// paySum is the folded Internet sum of Payload that DecodeInto computed
+	// while verifying the checksum, with paySumValid set; zero when the
+	// packet was not decoded. SumAcc.AddPayloadAt folds it in instead of
+	// re-scanning the payload. Every whole-struct overwrite clears it, so
+	// code that writes Payload bytes after a decode must decode again (as
+	// the corruption injectors do) or rebuild the packet.
+	paySum uint32
 }
+
+// paySumValid marks Packet.paySum as holding a decoded payload sum (a
+// folded sum is 16 bits, and a legitimate one may be zero).
+const paySumValid = 1 << 16
 
 // WireSize returns the number of bytes the packet occupies on the wire:
 // VirtualSize if set, otherwise the encoded size.
@@ -271,9 +283,16 @@ func DecodeInto(p *Packet, buf []byte) error {
 		// padding).
 		return fmt.Errorf("%w: %d bytes for a %d-byte payload", ErrLength, len(buf), plen)
 	}
-	// Verify the checksum with the checksum field zeroed.
+	// Verify the checksum with the checksum field zeroed. The header and
+	// the payload are summed separately: the header ends on an 8-byte
+	// boundary, so the two partial sums add to exactly the whole-frame sum
+	// (less the checksum word, one of its addends), and the payload's share
+	// is kept for the receiver's stream checksum (SumAcc.AddPayloadAt)
+	// instead of being scanned a second time.
 	want := binary.BigEndian.Uint16(buf[20:22])
-	if got := checksumZeroed(buf[:HeaderSize+plen], 20); got != want {
+	hdr := sumWords(buf[:HeaderSize]) - uint64(want)
+	pay := sumWords(buf[HeaderSize:])
+	if got := ^fold16(hdr + pay); got != want {
 		return fmt.Errorf("%w: got %04x want %04x", ErrChecksum, got, want)
 	}
 	*p = Packet{
@@ -283,6 +302,7 @@ func DecodeInto(p *Packet, buf []byte) error {
 		Trans:   binary.BigEndian.Uint32(buf[6:10]),
 		Seq:     binary.BigEndian.Uint32(buf[10:14]),
 		Total:   binary.BigEndian.Uint32(buf[14:18]),
+		paySum:  paySumValid | uint32(fold16(pay)),
 	}
 	if plen > 0 {
 		p.Payload = buf[HeaderSize : HeaderSize+plen]
@@ -354,16 +374,4 @@ func fold16(sum uint64) uint16 {
 		sum = sum&0xffff + sum>>16
 	}
 	return uint16(sum)
-}
-
-// checksumZeroed computes Checksum of b treating the 2 bytes at off as zero:
-// one unrolled pass sums the whole buffer, then the checksum word is
-// subtracted from the running total. off must be even and word-aligned with
-// off+2 <= len(b) (the header checksum field always is), so the word at off
-// is one of the addends and the subtraction is exact — the accumulator holds
-// the full unfolded sum.
-func checksumZeroed(b []byte, off int) uint16 {
-	sum := sumWords(b)
-	sum -= uint64(binary.BigEndian.Uint16(b[off:]))
-	return ^fold16(sum)
 }
